@@ -7,7 +7,7 @@
 //! outage (the store must degrade to compile-without-cache, not fail the
 //! requests), a crash mid-store (reopen must scavenge the orphans and
 //! keep serving), and one JSON-lines protocol round (ping, malformed
-//! line, suite, stats) over the chaos store.
+//! line, suite, stats) through the server over the chaos store.
 //!
 //! Gates (exit 1 on violation):
 //!
@@ -34,8 +34,8 @@ use rupicola_core::CompiledFunction;
 use rupicola_ext::standard_dbs;
 use rupicola_programs::suite;
 use rupicola_service::{
-    compile_programs_cached, serve, CachedResult, ChaosBackend, FaultPlan, Provenance,
-    RetryPolicy, Store,
+    compile_programs_cached, serve_concurrent, CachedResult, ChaosBackend, FaultPlan, Provenance,
+    RetryPolicy, Server, ShardedStore, TenantTable,
 };
 use std::path::PathBuf;
 
@@ -102,8 +102,13 @@ fn main() {
     // every fault class from the seeded schedule.
     let root = scratch("trial");
     std::fs::create_dir_all(&root).unwrap();
-    let backend = Box::new(ChaosBackend::new(FaultPlan::hostile(seed)));
-    let mut store = Store::open_with_backend(&root, backend).unwrap_or_else(|e| {
+    let store = ShardedStore::open_with(
+        &root,
+        1,
+        |_| Box::new(ChaosBackend::new(FaultPlan::hostile(seed))),
+        |s| s,
+    )
+    .unwrap_or_else(|e| {
         eprintln!("chaosbench: {e}");
         std::process::exit(2);
     });
@@ -119,9 +124,9 @@ fn main() {
         if i % 8 == 0 {
             let key =
                 store.key_for(&(entry.model)(), &(entry.spec)(), &dbs, &Default::default());
-            let _ = std::fs::remove_file(store.path_for(entry.info.name, key));
+            let _ = std::fs::remove_file(store.shard(0).path_for(entry.info.name, key));
         }
-        let results = compile_programs_cached(std::slice::from_ref(&entry), &mut store, &dbs);
+        let results = compile_programs_cached(std::slice::from_ref(&entry), &store, &dbs);
         check_answer(&results[0], "trial");
         if results[0].result.is_ok() {
             answered += 1;
@@ -144,7 +149,7 @@ fn main() {
         stats.retries,
         stats.write_failures,
         stats.quarantined,
-        store.degraded()
+        store.any_degraded()
     );
     if availability < 0.99 {
         fail("availability", format!("{availability:.4} < 0.99 over {requests} requests"));
@@ -153,7 +158,7 @@ fn main() {
         fail("bounded-retries", format!("{} retries > bound {retry_bound}", stats.retries));
     }
     let trial_stats = stats;
-    let trial_degraded = store.degraded();
+    let trial_degraded = store.any_degraded();
 
     // ---- Scenario 2: protocol round over the chaos store --------------
     // One JSON-lines batch including a ping, a malformed line and a
@@ -164,7 +169,8 @@ fn main() {
                  {\"op\":\"suite\"}\n\
                  {\"op\":\"stats\"}\n";
     let mut out = Vec::new();
-    let n = serve(input.as_bytes(), &mut out, &mut store, &dbs).unwrap_or_else(|e| {
+    let server = Server::new(store, TenantTable::default(), 1);
+    let n = serve_concurrent(input.as_bytes(), &mut out, &server, &dbs).unwrap_or_else(|e| {
         eprintln!("chaosbench: protocol round I/O error: {e}");
         std::process::exit(2);
     });
@@ -188,26 +194,29 @@ fn main() {
     // ---- Scenario 3: total outage degrades, requests still answered ----
     let outage_root = scratch("outage");
     std::fs::create_dir_all(&outage_root).unwrap();
-    let mut outage_store = Store::open_with_backend(
+    let outage_store = ShardedStore::open_with(
         &outage_root,
-        Box::new(ChaosBackend::new(FaultPlan::outage(seed))),
+        1,
+        |_| Box::new(ChaosBackend::new(FaultPlan::outage(seed))),
+        |s| {
+            s.with_retry_policy(RetryPolicy {
+                max_attempts: 2,
+                base_delay: std::time::Duration::from_micros(50),
+                max_delay: std::time::Duration::from_micros(200),
+            })
+            .with_degrade_after(2)
+        },
     )
     .unwrap_or_else(|e| {
         eprintln!("chaosbench: {e}");
         std::process::exit(2);
-    })
-    .with_retry_policy(RetryPolicy {
-        max_attempts: 2,
-        base_delay: std::time::Duration::from_micros(50),
-        max_delay: std::time::Duration::from_micros(200),
-    })
-    .with_degrade_after(2);
+    });
     let outage_requests = 25usize;
     let mut outage_ok = 0usize;
     for i in 0..outage_requests {
         let entry = all[i % all.len()].clone();
         let results =
-            compile_programs_cached(std::slice::from_ref(&entry), &mut outage_store, &dbs);
+            compile_programs_cached(std::slice::from_ref(&entry), &outage_store, &dbs);
         check_answer(&results[0], "outage");
         if results[0].result.is_ok() {
             outage_ok += 1;
@@ -216,7 +225,7 @@ fn main() {
     if outage_ok != outage_requests {
         fail("outage", format!("{outage_ok}/{outage_requests} answered under outage"));
     }
-    if !outage_store.degraded() {
+    if !outage_store.all_degraded() {
         fail("outage", "store must flip to degraded under a persistent outage".to_string());
     }
     println!(
@@ -229,12 +238,12 @@ fn main() {
     // writer that no longer exists (dead pid / torn tag). Reopen must
     // scavenge them all and still serve a verified hit.
     let crash_root = scratch("crash");
-    let mut crash_store = Store::open(&crash_root).unwrap_or_else(|e| {
+    let crash_store = ShardedStore::open(&crash_root, 1).unwrap_or_else(|e| {
         eprintln!("chaosbench: {e}");
         std::process::exit(2);
     });
     let entry = all[0].clone();
-    let warm = compile_programs_cached(std::slice::from_ref(&entry), &mut crash_store, &dbs);
+    let warm = compile_programs_cached(std::slice::from_ref(&entry), &crash_store, &dbs);
     check_answer(&warm[0], "crash-warmup");
     drop(crash_store);
     let orphans = [
@@ -244,7 +253,7 @@ fn main() {
     for orphan in &orphans {
         std::fs::write(orphan, "{ killed mid-store").unwrap();
     }
-    let mut reopened = Store::open(&crash_root).unwrap_or_else(|e| {
+    let reopened = ShardedStore::open(&crash_root, 1).unwrap_or_else(|e| {
         eprintln!("chaosbench: {e}");
         std::process::exit(2);
     });
@@ -255,7 +264,7 @@ fn main() {
     if orphans.iter().any(|o| o.exists()) {
         fail("recovery", "orphaned temp files survived reopen".to_string());
     }
-    let served = compile_programs_cached(std::slice::from_ref(&entry), &mut reopened, &dbs);
+    let served = compile_programs_cached(std::slice::from_ref(&entry), &reopened, &dbs);
     check_answer(&served[0], "crash-recovery");
     if served[0].provenance != Provenance::Cache {
         fail("recovery", "reopened store must serve the pre-crash artifact".to_string());

@@ -113,18 +113,20 @@ where
                 let worker = move || {
                     let mut done: Vec<(usize, T)> = Vec::new();
                     loop {
-                        let job = queues[w]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .pop_front()
-                            .or_else(|| {
-                                (1..workers).find_map(|off| {
-                                    queues[(w + off) % workers]
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner)
-                                        .pop_back()
-                                })
-                            });
+                        // Own pop in its own statement: the guard drops
+                        // here, so a thief never holds one queue's lock
+                        // while waiting on another's (two idle workers
+                        // stealing from each other would deadlock).
+                        let own =
+                            queues[w].lock().unwrap_or_else(PoisonError::into_inner).pop_front();
+                        let job = own.or_else(|| {
+                            (1..workers).find_map(|off| {
+                                queues[(w + off) % workers]
+                                    .lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
+                                    .pop_back()
+                            })
+                        });
                         match job {
                             Some(i) => done.push((i, run(i))),
                             None => return done,
@@ -265,6 +267,26 @@ mod tests {
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>(), "workers={workers}");
         }
         assert_eq!(run_work_stealing(0, 4, |i| i), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn work_stealing_never_deadlocks_on_trivial_jobs() {
+        // Trivial jobs make workers go idle and steal from each other
+        // almost at once — the interleaving in which a thief holding its
+        // own queue's lock waits on a peer doing the same. A hang fails
+        // the test through the timeout instead of wedging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for round in 0..2000 {
+                let njobs = 2 + round % 7;
+                let workers = 2 + round % 3;
+                let out = run_work_stealing(njobs, workers, |i| i);
+                assert_eq!(out, (0..njobs).collect::<Vec<_>>());
+            }
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(120))
+            .expect("run_work_stealing deadlocked (or panicked)");
     }
 
     #[test]

@@ -29,10 +29,8 @@ use std::path::{Path, PathBuf};
 
 /// The I/O operations the artifact store needs, as a mockable seam.
 ///
-/// Implementations must be `Send + Sync`: [`Store::load_verified_many`]
-/// issues reads from scoped worker threads.
-///
-/// [`Store::load_verified_many`]: crate::store::Store::load_verified_many
+/// Implementations must be `Send + Sync`: every store shard sits behind a
+/// mutex shared by the server's worker threads.
 pub trait Backend: std::fmt::Debug + Send + Sync {
     /// A short name for reports (`"fs"`, `"chaos"`).
     fn name(&self) -> &'static str;
@@ -58,13 +56,13 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     /// Concurrent readers see the old contents or the new contents, never
     /// a torn file. On failure the implementation removes `tmp` on a
     /// best-effort basis — a mid-write crash is exactly what leaves the
-    /// orphans that [`Store::open`] scavenges.
+    /// orphans that opening a store ([`ShardedStore::open`]) scavenges.
     ///
     /// # Errors
     ///
     /// Propagates the underlying I/O error.
     ///
-    /// [`Store::open`]: crate::store::Store::open
+    /// [`ShardedStore::open`]: crate::shard::ShardedStore::open
     fn write_atomic(&self, tmp: &Path, dst: &Path, bytes: &[u8]) -> io::Result<()>;
 
     /// Deletes the file at `path`.

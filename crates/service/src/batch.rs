@@ -1,51 +1,30 @@
-//! The JSON-lines batch front-end.
+//! The JSON-lines batch protocol.
 //!
-//! Protocol (one JSON object per line, responses in request order):
+//! One JSON object per line, responses in request order:
 //!
 //! ```text
 //! request  := {"op":"ping"}                         health check
 //!           | {"op":"compile","program":<name>}     compile one suite program
 //!           | {"op":"compile","program":<name>,
 //!              "deadline_ms":<u64>}                 … under a wall-clock deadline
+//!           | {"op":"compile","program":<name>,
+//!              "tenant":<id>}                       … billed to a tenant
 //!           | {"op":"suite"}                        compile the whole suite
 //!           | {"op":"stats"}                        report cache counters
 //! response := {"ok":true, "op":..., ...}            per-request payload
 //!           | {"ok":false, "error":<message>, ...}  malformed request / failed compile
 //! ```
 //!
-//! The front-end is a *batch* service: [`serve`] reads every queued
-//! request up front (to end-of-input), computes the set of programs any
-//! of them mention, resolves that set **once** through the incremental
-//! driver — verified cache loads first, one parallel compilation pass
-//! over the misses — and then answers each request in order from the
-//! resolved results. Queued duplicates are free, and `stats` responses
-//! reflect the cache counters after the batch's resolution (loads and
-//! stores included), which is what an operator piping requests through
-//! `served` wants to see.
-//!
-//! Failure reporting is **in-band** (DESIGN.md §12): a malformed line
-//! never aborts the batch (it yields `{"ok":false}` in its slot), a
-//! request whose wall-clock deadline expires yields `{"ok":false,
-//! "deadline_exceeded":true}`, and every response carries a
-//! `"degraded":true` flag when the store has fallen back to
-//! compile-without-cache mode — so a client can tell "the answer is
-//! late/unpersisted" from "the answer is wrong" without parsing stderr.
-//!
-//! Requests with a `deadline_ms` are resolved *individually* (each gets
-//! its own engine-limit clock) rather than in the shared batch pass;
-//! since the store key deliberately ignores deadlines, they still share
-//! artifacts with undeadline'd requests.
+//! This module is the protocol only: request parsing ([`parse_request`])
+//! and the per-program response payload. The front-end that reads a batch
+//! and answers it is [`crate::server::serve_concurrent`], which
+//! also carries the in-band failure reporting (DESIGN.md §12): malformed
+//! lines, expired deadlines, quota rejections and the `"degraded"` flag
+//! are all response fields, never aborted batches.
 
-use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
-
-use crate::incremental::{
-    compile_programs_cached, compile_programs_cached_with_limits, CachedResult, Provenance,
-};
-use crate::store::Store;
-use rupicola_core::{CompileError, EngineLimits, HintDbs, ResourceKind};
+use crate::incremental::{CachedResult, Provenance};
+use rupicola_core::{CompileError, ResourceKind};
 use rupicola_lang::json::{parse, Json};
-use rupicola_programs::{suite, SuiteEntry};
 
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,11 +38,11 @@ pub enum Request {
     Compile {
         /// Suite program name.
         program: String,
-        /// Optional wall-clock budget ([`EngineLimits::max_wall_ms`]).
+        /// Optional wall-clock budget
+        /// ([`rupicola_core::EngineLimits::max_wall_ms`]).
         deadline_ms: Option<u64>,
         /// Optional tenant id — admission control and per-tenant
-        /// accounting in the concurrent server ([`crate::server`]). The
-        /// serial front-end accepts and ignores it (one shared queue).
+        /// accounting in the server ([`crate::server`]).
         tenant: Option<String>,
     },
     /// Compile the whole suite.
@@ -114,10 +93,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-pub(crate) fn error_response(message: &str) -> Json {
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::str(message))])
-}
-
 /// Whether a compile error is a wall-clock deadline expiry (reported
 /// in-band as `"deadline_exceeded":true`).
 fn is_deadline_exceeded(e: &CompileError) -> bool {
@@ -127,8 +102,8 @@ fn is_deadline_exceeded(e: &CompileError) -> bool {
     )
 }
 
-pub(crate) fn program_response(r: &CachedResult, degraded: bool) -> Json {
-    let mut fields = match &r.result {
+pub(crate) fn program_response(r: &CachedResult) -> Json {
+    let fields = match &r.result {
         Ok(cf) => vec![
             ("ok", Json::Bool(true)),
             ("program", Json::str(r.name)),
@@ -150,168 +125,12 @@ pub(crate) fn program_response(r: &CachedResult, degraded: bool) -> Json {
             fields
         }
     };
-    if degraded {
-        fields.push(("degraded", Json::Bool(true)));
-    }
     Json::obj(fields)
-}
-
-/// Runs one batch: reads requests from `input` until end-of-input,
-/// resolves them against `store`/`dbs`, writes one response line per
-/// request to `output`.
-///
-/// Returns the number of requests answered (including error responses).
-///
-/// # Errors
-///
-/// Only I/O errors on `input`/`output` are fatal; bad requests, failed
-/// compilations, expired deadlines and a degraded store are all reported
-/// in-band.
-pub fn serve(
-    input: impl BufRead,
-    mut output: impl Write,
-    store: &mut Store,
-    dbs: &HintDbs,
-) -> std::io::Result<usize> {
-    // Phase 1: read and parse every queued request.
-    let mut requests: Vec<Result<Request, String>> = Vec::new();
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        requests.push(parse_request(&line));
-    }
-
-    // Phase 2: resolve the union of programs mentioned *without* a
-    // deadline in ONE incremental pass (cache loads first, parallel
-    // compilation of the misses). Deadline'd requests are resolved
-    // individually below — each needs its own engine clock.
-    let all = suite();
-    let mut wanted: Vec<&SuiteEntry> = Vec::new();
-    for req in requests.iter().flatten() {
-        match req {
-            Request::Suite => wanted.extend(all.iter()),
-            Request::Compile { program, deadline_ms: None, .. } => {
-                wanted.extend(all.iter().filter(|e| e.info.name == program));
-            }
-            Request::Compile { deadline_ms: Some(_), .. }
-            | Request::Stats
-            | Request::Ping => {}
-        }
-    }
-    // Dedup in suite order: resolve each program at most once per batch.
-    let mut entries: Vec<SuiteEntry> = Vec::new();
-    for entry in &all {
-        if wanted.iter().any(|w| w.info.name == entry.info.name)
-            && !entries.iter().any(|e| e.info.name == entry.info.name)
-        {
-            entries.push(entry.clone());
-        }
-    }
-    let resolved = compile_programs_cached(&entries, store, dbs);
-    let by_name: BTreeMap<&str, &CachedResult> =
-        resolved.iter().map(|r| (r.name, r)).collect();
-
-    // Phase 3: answer in request order. Deadline'd compiles resolve here,
-    // one at a time, against the same store (a cache hit still answers
-    // them instantly; only fresh derivations race the clock).
-    let mut answered = 0;
-    for req in &requests {
-        let response = match req {
-            Err(message) => error_response(message),
-            Ok(Request::Ping) => {
-                // Store-health counters ride along so an operator's ping
-                // doubles as a fault-layer check: a positive retry count or
-                // a quarantined key is visible before anything compiles.
-                let stats = store.stats();
-                Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("op", Json::str("ping")),
-                    ("store", Json::str(store.root().display().to_string())),
-                    ("backend", Json::str(store.backend_name())),
-                    ("degraded", Json::Bool(store.degraded())),
-                    ("format", Json::U64(crate::fingerprint::FORMAT_VERSION)),
-                    ("retries", Json::U64(stats.retries)),
-                    ("quarantined", Json::U64(stats.quarantined as u64)),
-                    ("write_failures", Json::U64(stats.write_failures as u64)),
-                ])
-            }
-            Ok(Request::Stats) => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("op", Json::str("stats")),
-                ("degraded", Json::Bool(store.degraded())),
-                ("cache", store.stats().to_json()),
-            ]),
-            Ok(Request::Compile { program, deadline_ms: None, .. }) => {
-                match by_name.get(program.as_str()) {
-                    Some(r) => program_response(r, store.degraded()),
-                    None => error_response(&format!("unknown program `{program}`")),
-                }
-            }
-            Ok(Request::Compile { program, deadline_ms: Some(ms), .. }) => {
-                let entry = all.iter().find(|e| e.info.name == program.as_str());
-                match entry {
-                    None => error_response(&format!("unknown program `{program}`")),
-                    Some(entry) => {
-                        let limits = EngineLimits::default().with_deadline_ms(*ms);
-                        let results = compile_programs_cached_with_limits(
-                            std::slice::from_ref(entry),
-                            store,
-                            dbs,
-                            &limits,
-                        );
-                        program_response(&results[0], store.degraded())
-                    }
-                }
-            }
-            Ok(Request::Suite) => {
-                let rows: Vec<Json> = all
-                    .iter()
-                    .filter_map(|e| by_name.get(e.info.name))
-                    .map(|r| program_response(r, store.degraded()))
-                    .collect();
-                let cached =
-                    rows.iter().filter(|r| r.get("cached").and_then(Json::as_bool) == Some(true));
-                Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("op", Json::str("suite")),
-                    ("degraded", Json::Bool(store.degraded())),
-                    ("cached", Json::U64(cached.count() as u64)),
-                    ("programs", Json::Arr(rows)),
-                ])
-            }
-        };
-        output.write_all(response.render_compact().as_bytes())?;
-        output.write_all(b"\n")?;
-        answered += 1;
-    }
-    output.flush()?;
-    Ok(answered)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rupicola_ext::standard_dbs;
-
-    fn scratch_store(tag: &str) -> Store {
-        let root = std::env::temp_dir()
-            .join(format!("rupicola-batch-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        Store::open(root).unwrap()
-    }
-
-    fn run(input: &str, store: &mut Store) -> Vec<Json> {
-        let dbs = standard_dbs();
-        let mut out = Vec::new();
-        serve(input.as_bytes(), &mut out, store, &dbs).unwrap();
-        String::from_utf8(out)
-            .unwrap()
-            .lines()
-            .map(|l| parse(l).unwrap())
-            .collect()
-    }
 
     #[test]
     fn parse_request_accepts_the_grammar() {
@@ -340,139 +159,5 @@ mod tests {
         assert!(parse_request(r#"{"op":"reboot"}"#).is_err());
         assert!(parse_request(r#"{"program":"fnv1a"}"#).is_err());
         assert!(parse_request("not json").is_err());
-    }
-
-    #[test]
-    fn batch_answers_in_order_and_deduplicates_work() {
-        let mut store = scratch_store("order");
-        let input = "\
-{\"op\":\"compile\",\"program\":\"fnv1a\"}\n\
-{\"op\":\"compile\",\"program\":\"fnv1a\"}\n\
-{\"op\":\"stats\"}\n\
-{\"op\":\"compile\",\"program\":\"nosuch\"}\n\
-bogus\n";
-        let responses = run(input, &mut store);
-        assert_eq!(responses.len(), 5);
-        assert_eq!(responses[0].get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(responses[0].get("program").and_then(Json::as_str), Some("fnv1a"));
-        // The duplicate was answered from the same single resolution.
-        assert_eq!(responses[1].get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(store.stats().stores, 1, "fnv1a resolved exactly once");
-        // Stats reflect the batch's resolution.
-        let cache = responses[2].get("cache").unwrap();
-        assert_eq!(cache.get("stores").and_then(Json::as_u64), Some(1));
-        assert_eq!(responses[3].get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(responses[4].get("ok").and_then(Json::as_bool), Some(false));
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn suite_request_reports_cache_provenance() {
-        let mut store = scratch_store("suite");
-        let cold = run("{\"op\":\"suite\"}\n", &mut store);
-        assert_eq!(cold[0].get("cached").and_then(Json::as_u64), Some(0));
-        assert_eq!(cold[0].get("programs").and_then(Json::as_arr).unwrap().len(), 7);
-        let warm = run("{\"op\":\"suite\"}\n", &mut store);
-        assert_eq!(warm[0].get("cached").and_then(Json::as_u64), Some(7));
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn ping_reports_health_without_compiling() {
-        let mut store = scratch_store("ping");
-        let responses = run("{\"op\":\"ping\"}\n", &mut store);
-        assert_eq!(responses.len(), 1);
-        let ping = &responses[0];
-        assert_eq!(ping.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(ping.get("op").and_then(Json::as_str), Some("ping"));
-        assert_eq!(ping.get("backend").and_then(Json::as_str), Some("fs"));
-        assert_eq!(ping.get("degraded").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            ping.get("format").and_then(Json::as_u64),
-            Some(crate::fingerprint::FORMAT_VERSION)
-        );
-        assert!(ping
-            .get("store")
-            .and_then(Json::as_str)
-            .is_some_and(|s| s.contains("rupicola-batch-test-ping")));
-        // The health counters are present and zero on a fresh store.
-        assert_eq!(ping.get("retries").and_then(Json::as_u64), Some(0));
-        assert_eq!(ping.get("quarantined").and_then(Json::as_u64), Some(0));
-        assert_eq!(ping.get("write_failures").and_then(Json::as_u64), Some(0));
-        // Liveness only: no loads, no compiles, no stores.
-        let stats = store.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stores), (0, 0, 0));
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn ping_surfaces_fault_layer_counters() {
-        use crate::chaos::{ChaosBackend, FaultPlan};
-        // Every write fails (reads are fine): the compile succeeds but the
-        // store-back burns its retries, and the ping answered later in the
-        // same batch must surface both counters.
-        let root = std::env::temp_dir()
-            .join(format!("rupicola-batch-test-faulty-ping-{}", std::process::id()));
-        let plan = FaultPlan { write_eio: 1000, ..FaultPlan::calm(3) };
-        let mut store =
-            Store::open_with_backend(&root, Box::new(ChaosBackend::new(plan))).unwrap();
-        let responses =
-            run("{\"op\":\"compile\",\"program\":\"fnv1a\"}\n{\"op\":\"ping\"}\n", &mut store);
-        assert_eq!(responses[0].get("ok").and_then(Json::as_bool), Some(true));
-        let ping = &responses[1];
-        assert!(
-            ping.get("retries").and_then(Json::as_u64).is_some_and(|r| r > 0),
-            "write retries visible in ping: {ping:?}"
-        );
-        assert!(
-            ping.get("write_failures").and_then(Json::as_u64).is_some_and(|w| w > 0),
-            "write failures visible in ping: {ping:?}"
-        );
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn degraded_store_answers_the_batch_and_says_so() {
-        // A store that cannot touch disk at all: every response must still
-        // arrive (compile-without-cache) and carry the degraded flag.
-        let root = std::env::temp_dir()
-            .join(format!("rupicola-batch-test-degraded-{}", std::process::id()));
-        let mut store = Store::open_degraded(&root);
-        let responses =
-            run("{\"op\":\"ping\"}\n{\"op\":\"compile\",\"program\":\"fnv1a\"}\n", &mut store);
-        assert_eq!(responses[0].get("degraded").and_then(Json::as_bool), Some(true));
-        assert_eq!(responses[1].get("ok").and_then(Json::as_bool), Some(true), "{responses:?}");
-        assert_eq!(responses[1].get("cached").and_then(Json::as_bool), Some(false));
-        assert_eq!(responses[1].get("degraded").and_then(Json::as_bool), Some(true));
-        assert_eq!(store.stats().stores, 0, "degraded store persists nothing");
-    }
-
-    #[test]
-    fn expired_deadline_is_reported_in_band() {
-        let mut store = scratch_store("deadline");
-        // deadline_ms:0 expires at the first judgment — deterministically,
-        // because the engine checks the clock inclusively.
-        let responses =
-            run("{\"op\":\"compile\",\"program\":\"fnv1a\",\"deadline_ms\":0}\n", &mut store);
-        assert_eq!(responses.len(), 1);
-        assert_eq!(responses[0].get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(responses[0].get("deadline_exceeded").and_then(Json::as_bool), Some(true));
-        assert!(responses[0]
-            .get("error")
-            .and_then(Json::as_str)
-            .is_some_and(|e| e.contains("wall-clock")));
-        // A generous deadline compiles normally and is persisted under the
-        // same key an undeadline'd request would use.
-        let responses = run(
-            "{\"op\":\"compile\",\"program\":\"fnv1a\",\"deadline_ms\":600000}\n",
-            &mut store,
-        );
-        assert_eq!(responses[0].get("ok").and_then(Json::as_bool), Some(true));
-        assert!(responses[0].get("deadline_exceeded").is_none());
-        assert_eq!(store.stats().stores, 1);
-        // …which an undeadline'd request now hits.
-        let responses = run("{\"op\":\"compile\",\"program\":\"fnv1a\"}\n", &mut store);
-        assert_eq!(responses[0].get("cached").and_then(Json::as_bool), Some(true));
-        let _ = std::fs::remove_dir_all(store.root());
     }
 }

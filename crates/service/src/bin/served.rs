@@ -13,7 +13,7 @@
 //!
 //! | variable        | default              | meaning |
 //! |-----------------|----------------------|---------|
-//! | `SERVED_SHARDS` | 1                    | store stripes (1 = plain single-store layout) |
+//! | `SERVED_SHARDS` | 1                    | store stripes (1 = flat single-directory layout) |
 //! | `SERVED_WORKERS`| available parallelism| scheduler threads |
 //! | `SERVED_LINT`   | off                  | run analysis lints on every cache load |
 //!

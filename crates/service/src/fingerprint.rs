@@ -15,8 +15,14 @@
 //! 5. the **optimization pipeline identity** (ordered pass names) — an
 //!    artifact optimized under one pipeline is a different artifact from
 //!    the same program unoptimized or optimized differently,
-//! 6. a **format version**, so a codec change invalidates the whole store
+//! 6. the **constant-time policy identity**, and
+//! 7. the **RISC-V pipeline identity** — both part of what was verified
+//!    about the artifact,
+//! 8. a **format version**, so a codec change invalidates the whole store
 //!    instead of mis-decoding old artifacts.
+//!
+//! [`fingerprint`] is the one key function and takes all of these; a
+//! store derives the three identity strings from its configuration.
 //!
 //! The hash is FNV-1a/64 over those canonical bytes — hand-rolled, fully
 //! specified, and therefore stable across processes, platforms and runs
@@ -102,9 +108,8 @@ pub(crate) fn content_digest(artifact: &rupicola_lang::json::Json) -> String {
     format!("{:016x}", fnv1a(FNV_OFFSET, artifact.render_compact().as_bytes()))
 }
 
-/// The canonical byte string a request hashes to. Exposed (crate-public)
-/// so tests can assert on *why* two keys differ, not just that they do.
-pub(crate) fn canonical_bytes(
+/// The canonical byte string a request hashes to.
+fn canonical_bytes(
     model: &Model,
     spec: &FnSpec,
     dbs: &HintDbs,
@@ -157,54 +162,21 @@ pub(crate) fn canonical_bytes(
     bytes
 }
 
-/// Fingerprints a compilation request with no optimization pipeline
-/// (the pipeline identity segment is `none`).
+/// Fingerprints a compilation request: FNV-1a/64 over the canonical bytes
+/// of the model, spec, hint-db identity and determinism-relevant limits,
+/// plus three identity strings —
+///
+/// - `pipeline`: the optimization pass pipeline
+///   (`rupicola_opt::PipelineConfig::identity_string`, `none` when the
+///   request is not optimized), so an artifact produced under one pipeline
+///   is never served to a request made under another;
+/// - `ct`: the constant-time secrecy policy
+///   (`rupicola_analysis::SecrecyPolicy::identity_string`; the empty
+///   policy renders as `public`);
+/// - `rv`: the RISC-V lowering pipeline
+///   (`rupicola_rv::RvPipelineConfig::identity_string`, or `none` when the
+///   request asks for no machine code).
 pub fn fingerprint(
-    model: &Model,
-    spec: &FnSpec,
-    dbs: &HintDbs,
-    limits: &EngineLimits,
-) -> Fingerprint {
-    fingerprint_with_pipeline(model, spec, dbs, limits, "none")
-}
-
-/// Fingerprints a compilation request including the optimization
-/// pass-pipeline identity (see
-/// `rupicola_opt::PipelineConfig::identity_string`): an artifact produced
-/// under one pipeline is never served to a request made under another.
-pub fn fingerprint_with_pipeline(
-    model: &Model,
-    spec: &FnSpec,
-    dbs: &HintDbs,
-    limits: &EngineLimits,
-    pipeline: &str,
-) -> Fingerprint {
-    fingerprint_with_pipeline_ct(model, spec, dbs, limits, pipeline, "public")
-}
-
-/// Fingerprints a compilation request including both the optimization
-/// pipeline identity and the constant-time policy identity (see
-/// `rupicola_analysis::SecrecyPolicy::identity_string`). The empty policy
-/// renders as `public`, which is what the policy-less entry points use —
-/// requests with no secrets and requests that never mention a policy are
-/// the same request.
-pub fn fingerprint_with_pipeline_ct(
-    model: &Model,
-    spec: &FnSpec,
-    dbs: &HintDbs,
-    limits: &EngineLimits,
-    pipeline: &str,
-    ct: &str,
-) -> Fingerprint {
-    fingerprint_with_pipeline_ct_rv(model, spec, dbs, limits, pipeline, ct, "none")
-}
-
-/// Fingerprints a compilation request including the optimization pipeline,
-/// the constant-time policy, and the RISC-V lowering-pipeline identity
-/// (see `rupicola_rv::RvPipelineConfig::identity_string`). Requests that
-/// ask for no machine code use `none`, which is what every narrower entry
-/// point delegates with — pre-v4 callers all share that key space.
-pub fn fingerprint_with_pipeline_ct_rv(
     model: &Model,
     spec: &FnSpec,
     dbs: &HintDbs,
@@ -226,6 +198,11 @@ mod tests {
         (rupicola_programs::fnv1a::model(), rupicola_programs::fnv1a::spec())
     }
 
+    /// The key of an unoptimized, policy-free, machine-code-free request.
+    fn plain(model: &Model, spec: &FnSpec, dbs: &HintDbs, limits: &EngineLimits) -> Fingerprint {
+        fingerprint(model, spec, dbs, limits, "none", "public", "none")
+    }
+
     #[test]
     fn fnv_vectors() {
         // Reference vectors for FNV-1a/64 (from the FNV spec).
@@ -235,14 +212,47 @@ mod tests {
     }
 
     #[test]
+    fn suite_keys_are_pinned() {
+        // The keys the default store configuration files the suite under:
+        // full opt pipeline, empty (`public`) CT policy, no machine code,
+        // default limits. A change here orphans every stored artifact, so
+        // it must come with a `FORMAT_VERSION` bump and new literals.
+        let dbs = standard_dbs();
+        let limits = EngineLimits::default();
+        let pipeline = rupicola_opt::PipelineConfig::full().identity_string();
+        let pinned = [
+            ("fnv1a", "9f56fdd3d7a418dd"),
+            ("utf8", "b475d9bf38997bef"),
+            ("upstr", "93db81e5b524536f"),
+            ("m3s", "efa3a08f55737b7d"),
+            ("ip", "5027adb6a3d09c31"),
+            ("fasta", "89b36f98599e87ef"),
+            ("crc32", "d60cc0e64cbbf5d8"),
+        ];
+        assert_eq!(FORMAT_VERSION, 5);
+        let suite = rupicola_programs::suite();
+        assert_eq!(suite.len(), pinned.len());
+        for (entry, (name, hex)) in suite.iter().zip(pinned) {
+            assert_eq!(entry.info.name, name);
+            let key = fingerprint(
+                &(entry.model)(),
+                &(entry.spec)(),
+                &dbs,
+                &limits,
+                &pipeline,
+                "public",
+                "none",
+            );
+            assert_eq!(key.as_hex(), hex, "{name}");
+        }
+    }
+
+    #[test]
     fn deterministic_within_process() {
         let (model, spec) = request();
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
-        assert_eq!(
-            fingerprint(&model, &spec, &dbs, &limits),
-            fingerprint(&model, &spec, &dbs, &limits)
-        );
+        assert_eq!(plain(&model, &spec, &dbs, &limits), plain(&model, &spec, &dbs, &limits));
     }
 
     #[test]
@@ -252,7 +262,7 @@ mod tests {
         let (m1, s1) = request();
         let m2 = rupicola_programs::crc32::model();
         let s2 = rupicola_programs::crc32::spec();
-        assert_ne!(fingerprint(&m1, &s1, &dbs, &limits), fingerprint(&m2, &s2, &dbs, &limits));
+        assert_ne!(plain(&m1, &s1, &dbs, &limits), plain(&m2, &s2, &dbs, &limits));
     }
 
     #[test]
@@ -263,8 +273,8 @@ mod tests {
         let mut linear = standard_dbs();
         linear.set_dispatch_mode(DispatchMode::Linear);
         assert_ne!(
-            fingerprint(&model, &spec, &indexed, &limits),
-            fingerprint(&model, &spec, &linear, &limits)
+            plain(&model, &spec, &indexed, &limits),
+            plain(&model, &spec, &linear, &limits)
         );
     }
 
@@ -273,8 +283,8 @@ mod tests {
         let (model, spec) = request();
         let dbs = standard_dbs();
         assert_ne!(
-            fingerprint(&model, &spec, &dbs, &EngineLimits::default()),
-            fingerprint(&model, &spec, &dbs, &EngineLimits::tight())
+            plain(&model, &spec, &dbs, &EngineLimits::default()),
+            plain(&model, &spec, &dbs, &EngineLimits::tight())
         );
     }
 
@@ -283,20 +293,15 @@ mod tests {
         let (model, spec) = request();
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
-        let none = fingerprint_with_pipeline(&model, &spec, &dbs, &limits, "none");
-        let full = fingerprint_with_pipeline(
-            &model,
-            &spec,
-            &dbs,
-            &limits,
-            "const-fold,copy-prop,dead-store,strength-reduce,load-cse",
-        );
-        let partial = fingerprint_with_pipeline(&model, &spec, &dbs, &limits, "const-fold");
+        let key = |pipeline: &str| {
+            fingerprint(&model, &spec, &dbs, &limits, pipeline, "public", "none")
+        };
+        let none = key("none");
+        let full = key("const-fold,copy-prop,dead-store,strength-reduce,load-cse");
+        let partial = key("const-fold");
         assert_ne!(none, full);
         assert_ne!(none, partial);
         assert_ne!(full, partial);
-        // The legacy entry point is exactly the `none` pipeline.
-        assert_eq!(none, fingerprint(&model, &spec, &dbs, &limits));
     }
 
     #[test]
@@ -308,17 +313,11 @@ mod tests {
         let public = SecrecyPolicy::default().identity_string();
         let secret = SecrecyPolicy::secrets(["s"]).identity_string();
         let stricter = SecrecyPolicy::secrets(["s", "t"]).identity_string();
-        let key = |ct: &str| {
-            fingerprint_with_pipeline_ct(&model, &spec, &dbs, &limits, "none", ct)
-        };
+        let key = |ct: &str| fingerprint(&model, &spec, &dbs, &limits, "none", ct, "none");
         assert_ne!(key(&public), key(&secret), "labeling a secret changes the key");
         assert_ne!(key(&secret), key(&stricter), "strengthening the policy changes the key");
-        // The policy-less entry points are exactly the empty (`public`)
-        // policy: old callers and explicitly-public callers share a cache.
-        assert_eq!(
-            key(&public),
-            fingerprint_with_pipeline(&model, &spec, &dbs, &limits, "none")
-        );
+        // The empty policy is spelled `public`: requests with no secrets
+        // and requests that never mention a policy share a cache.
         assert_eq!(public, "public");
     }
 
@@ -327,26 +326,18 @@ mod tests {
         let (model, spec) = request();
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
-        let key = |rv: &str| {
-            fingerprint_with_pipeline_ct_rv(&model, &spec, &dbs, &limits, "none", "public", rv)
-        };
+        let key = |rv: &str| fingerprint(&model, &spec, &dbs, &limits, "none", "public", rv);
         let none = key("none");
         let naive = key("lower");
         let full = key("lower,regalloc,redundant-mem,branch-simplify,addi-fold");
         assert_ne!(none, naive, "asking for machine code changes the key");
         assert_ne!(naive, full, "the stage pipeline changes the key");
-        // The narrower entry points are exactly the `none` rv pipeline.
-        assert_eq!(none, fingerprint(&model, &spec, &dbs, &limits));
-        assert_eq!(
-            none,
-            fingerprint_with_pipeline_ct(&model, &spec, &dbs, &limits, "none", "public")
-        );
     }
 
     #[test]
     fn hex_key_is_16_lowercase_digits() {
         let (model, spec) = request();
-        let key = fingerprint(&model, &spec, &standard_dbs(), &EngineLimits::default()).as_hex();
+        let key = plain(&model, &spec, &standard_dbs(), &EngineLimits::default()).as_hex();
         assert_eq!(key.len(), 16);
         assert!(key.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()));
     }

@@ -1,24 +1,24 @@
-//! The incremental suite driver: consult the store first, compile (in
-//! parallel) only the misses, file the fresh results back.
+//! The incremental suite driver: resolve every entry through the store —
+//! verified load first, compile only on a miss, file the fresh result
+//! back — on the work-stealing scheduler.
 //!
-//! This is the cached counterpart of
-//! [`rupicola_programs::parallel::compile_suite_parallel`]: a fully warm
-//! run performs **zero** engine derivations — every program is served
-//! from disk after passing the verified-load ladder — while a cold or
-//! partially-stale run hands exactly the missing entries to the parallel
-//! driver and stores what it produced.
+//! There is no resolve logic here: each entry goes through
+//! [`resolve_one`], the same routine the concurrent server runs per job,
+//! scheduled by [`run_work_stealing`]. A fully warm run therefore performs
+//! **zero** engine derivations — every program is served from disk after
+//! passing the verified-load ladder — while a cold or partially-stale run
+//! compiles exactly the entries the store could not serve.
 //!
-//! Results come back in suite order regardless of which side (store or
+//! Results come back in entry order regardless of which side (store or
 //! compiler) produced them, so downstream consumers (`table2`, `lint`,
 //! `validate`, the benches) can swap this in for the parallel driver
 //! without re-sorting.
 
-use crate::store::{LoadOutcome, Store};
-use rupicola_core::check::CheckConfig;
+use crate::server::resolve_one;
+use crate::shard::ShardedStore;
+use crate::store::{store_root_from_env, CacheStats};
 use rupicola_core::{CompileError, CompiledFunction, EngineLimits, HintDbs};
-use rupicola_lang::Model;
-use rupicola_opt::optimize_compiled;
-use rupicola_programs::parallel::{compile_entries_parallel_with_limits, SuiteResult};
+use rupicola_programs::parallel::{default_workers, run_work_stealing};
 use rupicola_programs::{suite, SuiteEntry};
 
 /// How one suite program was obtained.
@@ -44,116 +44,38 @@ pub struct CachedResult {
 /// Compiles the whole suite through `store`, recompiling only what the
 /// store could not serve. Fresh results are written back; write failures
 /// are non-fatal (the result is still returned, the next run just misses).
-pub fn compile_suite_cached(store: &mut Store, dbs: &HintDbs) -> Vec<CachedResult> {
+pub fn compile_suite_cached(store: &ShardedStore, dbs: &HintDbs) -> Vec<CachedResult> {
     compile_programs_cached(&suite(), store, dbs)
 }
 
-/// [`compile_suite_cached`] over an arbitrary entry subset (the batch
-/// front-end resolves exactly the programs its queued requests mention).
+/// [`compile_suite_cached`] over an arbitrary entry subset: one
+/// [`resolve_one`] per entry under default engine limits, on
+/// [`default_workers`] work-stealing workers.
 pub fn compile_programs_cached(
     entries: &[SuiteEntry],
-    store: &mut Store,
+    store: &ShardedStore,
     dbs: &HintDbs,
 ) -> Vec<CachedResult> {
-    compile_programs_cached_with_limits(entries, store, dbs, &EngineLimits::default())
-}
-
-/// [`compile_programs_cached`] under explicit [`EngineLimits`] — this is
-/// how the batch front-end threads per-request deadlines down to the
-/// engine. Note the store key ignores `max_wall_ms` (see
-/// [`Store::key_for`]), so deadline'd and undeadline'd requests share
-/// artifacts; a load that *hits* is served regardless of the deadline
-/// (verified loads are milliseconds), only fresh derivations race it.
-pub fn compile_programs_cached_with_limits(
-    entries: &[SuiteEntry],
-    store: &mut Store,
-    dbs: &HintDbs,
-    limits: &EngineLimits,
-) -> Vec<CachedResult> {
-    // Pass 1: verified loads, batched so the store can parallelize the
-    // read+re-check work. Remember which entries missed (or evicted) and
-    // the slot their fresh result must land in.
-    let mut slots: Vec<Option<CachedResult>> = Vec::new();
-    slots.resize_with(entries.len(), || None);
-    let mut missing: Vec<usize> = Vec::new();
-    let requests: Vec<(Model, rupicola_core::fnspec::FnSpec)> =
-        entries.iter().map(|e| ((e.model)(), (e.spec)())).collect();
-    let request_refs: Vec<(&Model, &rupicola_core::fnspec::FnSpec)> =
-        requests.iter().map(|(m, s)| (m, s)).collect();
-    for (i, (entry, outcome)) in entries
-        .iter()
-        .zip(store.load_verified_many(&request_refs, dbs, limits))
-        .enumerate()
-    {
-        match outcome {
-            LoadOutcome::Hit(cf) => {
-                slots[i] = Some(CachedResult {
-                    name: entry.info.name,
-                    result: Ok(*cf),
-                    provenance: Provenance::Cache,
-                });
-            }
-            // Unavailable (degraded store, quarantined key, post-retry
-            // I/O failure) degrades to compile-without-cache: the entry
-            // is compiled like a miss, and `store.put` below will refuse
-            // or fail harmlessly if the store still cannot persist.
-            LoadOutcome::Miss | LoadOutcome::Evicted { .. } | LoadOutcome::Unavailable { .. } => {
-                missing.push(i);
-            }
-        }
-    }
-    // Pass 2: parallel compilation of exactly the misses, then the
-    // translation-validated optimization pipeline the store keys under,
-    // so what gets filed (and what a warm run serves) is the optimized
-    // artifact. Certification-strength check config: a fresh optimization
-    // is a fresh claim, not a reload of an already-certified one.
-    if !missing.is_empty() {
-        let pipeline = store.pipeline().clone();
-        let opt_check = CheckConfig::default();
-        let todo: Vec<SuiteEntry> = missing.iter().map(|&i| entries[i].clone()).collect();
-        let fresh: Vec<SuiteResult> = compile_entries_parallel_with_limits(&todo, dbs, limits);
-        for (&i, mut fresh) in missing.iter().zip(fresh) {
-            if let Ok(cf) = &mut fresh.result {
-                if !pipeline.passes.is_empty() {
-                    let _ = optimize_compiled(cf, dbs, &pipeline, &opt_check);
-                }
-                let key = store.key_for(&cf.model, &cf.spec, dbs, limits);
-                let _ = store.put(key, cf);
-            }
-            slots[i] = Some(CachedResult {
-                name: fresh.name,
-                result: fresh.result,
-                provenance: Provenance::Compiled,
-            });
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| match s {
-            Some(r) => r,
-            // Unreachable by construction: every index is either filled in
-            // pass 1 or listed in `missing` and filled in pass 2.
-            None => CachedResult {
-                name: "?",
-                result: Err(CompileError::Internal("incremental driver lost a slot".into())),
-                provenance: Provenance::Compiled,
-            },
-        })
-        .collect()
+    let limits = EngineLimits::default();
+    run_work_stealing(entries.len(), default_workers(), |i| {
+        resolve_one(store, &entries[i], dbs, &limits)
+    })
 }
 
 /// Harness-binary convenience: opens the environment-resolved store
-/// (`$SERVICE_STORE`, default `results/store`), runs the cached suite
-/// pass, and returns the results together with the store's counters.
-/// Prints the error and exits 2 if the store cannot be opened — for the
-/// `table2`/`lint`/`validate`-style binaries whose other failure paths
-/// already exit nonzero.
-pub fn suite_via_store(dbs: &HintDbs) -> (Vec<CachedResult>, crate::store::CacheStats) {
-    let mut store = Store::open_from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let results = compile_suite_cached(&mut store, dbs);
+/// (`$SERVICE_STORE`, default `results/store`) as one shard, runs the
+/// cached suite pass, and returns the results together with the store's
+/// counters. Prints the error and exits 2 if the store cannot be opened —
+/// for the `table2`/`lint`/`validate`-style binaries whose other failure
+/// paths already exit nonzero.
+pub fn suite_via_store(dbs: &HintDbs) -> (Vec<CachedResult>, CacheStats) {
+    let store = store_root_from_env()
+        .and_then(|root| ShardedStore::open(root, 1))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+    let results = compile_suite_cached(&store, dbs);
     (results, store.stats())
 }
 
@@ -167,16 +89,16 @@ mod tests {
         let root = std::env::temp_dir()
             .join(format!("rupicola-incremental-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let mut store = Store::open(&root).unwrap();
+        let store = ShardedStore::open(&root, 1).unwrap();
         let dbs = standard_dbs();
 
-        let cold = compile_suite_cached(&mut store, &dbs);
+        let cold = compile_suite_cached(&store, &dbs);
         assert_eq!(cold.len(), 7);
         assert!(cold.iter().all(|r| r.provenance == Provenance::Compiled));
         assert!(cold.iter().all(|r| r.result.is_ok()));
         assert_eq!(store.stats().stores, 7);
 
-        let warm = compile_suite_cached(&mut store, &dbs);
+        let warm = compile_suite_cached(&store, &dbs);
         assert!(warm.iter().all(|r| r.provenance == Provenance::Cache), "{warm:?}");
         assert_eq!(store.stats().hits, 7);
         for (c, w) in cold.iter().zip(warm.iter()) {

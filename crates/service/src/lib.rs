@@ -7,32 +7,33 @@
 //! by a different process, on a different day — and re-checked exactly as
 //! a fresh compilation would be, so the cache can be wrong, stale, or
 //! corrupted without ever being able to smuggle a bad artifact past the
-//! caller. This crate builds that service layer out of three pieces:
+//! caller. The service has one of each moving part:
 //!
-//! - [`fingerprint`] — stable structural keys: FNV-1a/64 over the
-//!   canonical encoding of (model, spec, hint-db identity, engine limits,
-//!   format version). Same inputs ⇒ same key across processes; changing a
-//!   lemma, the registration order, the [`DispatchMode`], or the budgets
-//!   changes the key.
-//! - [`store`] — the content-addressed on-disk store with *verified
-//!   loads*: decode, cross-check the stored inputs against the request,
-//!   re-run the checker (optionally the analysis lints), and evict on any
-//!   failure. Counters ([`CacheStats`]) account every hit, miss,
-//!   eviction, store, and verify-nanosecond.
-//! - [`incremental`] — the suite driver that consults the store first and
-//!   hands only the misses to the parallel compilation driver; a fully
-//!   warm run performs zero derivations.
-//! - [`batch`] — a JSON-lines front-end (`served` binary): queued
-//!   `ping`/`compile`/`suite`/`stats` requests are resolved in one
-//!   incremental pass and answered in order.
-//! - [`shard`], [`tenant`], [`server`] — the concurrent multi-tenant
-//!   server (DESIGN.md §14): a lock-striped [`shard::ShardedStore`]
-//!   routing fingerprints to independent store stripes, per-tenant
-//!   admission control with typed backpressure, and a work-stealing
-//!   [`server::Server`] that answers mixed-tenant batches with
-//!   deterministic, byte-identical-to-serial results. Verified loads are
-//!   what make this safe: artifacts are shared across mutually
-//!   untrusting tenants because every load re-certifies.
+//! - **one cache key** — [`fingerprint()`]: FNV-1a/64 over the canonical
+//!   encoding of (model, spec, hint-db identity, engine limits, opt
+//!   pipeline, CT policy, RISC-V pipeline, format version). Same inputs ⇒
+//!   same key across processes; changing a lemma, the registration order,
+//!   the [`DispatchMode`], the budgets or any pipeline changes the key.
+//! - **one store** — [`ShardedStore`]: the content-addressed on-disk store
+//!   with *verified loads* (decode, cross-check the stored inputs against
+//!   the request, re-run the checker and every translation validator, evict
+//!   on any failure), lock-striped over `N` [`store::Store`] shards routed
+//!   by key prefix. It has one load ([`ShardedStore::load_verified`]) and
+//!   one put ([`ShardedStore::put`]); both take the key computed once per
+//!   request, and both carry the optional RISC-V machine artifact.
+//!   Counters ([`CacheStats`]) account every hit, miss, eviction, store,
+//!   and verify-nanosecond.
+//! - **one resolve routine** — [`server::resolve_one`]: verified load →
+//!   compile on miss → optimize → put. The multi-tenant [`Server`] runs it
+//!   per admitted job on the work-stealing scheduler, with per-tenant
+//!   admission control and typed backpressure ([`tenant`]); the
+//!   [`incremental`] suite driver runs it per suite entry. A fully warm
+//!   run performs zero derivations.
+//! - **one front-end** — [`serve_concurrent`] (the `served` binary) answers
+//!   the JSON-lines protocol of [`batch`] through the server, in request
+//!   order, with byte-identical-to-serial answers (DESIGN.md §14).
+//!   Verified loads are what make sharing safe: artifacts are shared
+//!   across mutually untrusting tenants because every load re-certifies.
 //!
 //! The service layer additionally assumes a *hostile environment*
 //! (DESIGN.md §12): all store I/O goes through a [`backend::Backend`]
@@ -59,12 +60,11 @@ pub mod store;
 pub mod tenant;
 
 pub use backend::{Backend, FsBackend};
-pub use batch::{parse_request, serve, Request};
+pub use batch::{parse_request, Request};
 pub use chaos::{ChaosBackend, FaultCounts, FaultPlan};
 pub use fingerprint::{fingerprint, Fingerprint, FORMAT_VERSION};
 pub use incremental::{
-    compile_programs_cached, compile_programs_cached_with_limits, compile_suite_cached,
-    suite_via_store, CachedResult, Provenance,
+    compile_programs_cached, compile_suite_cached, suite_via_store, CachedResult, Provenance,
 };
 pub use retry::{classify, with_retry, ErrorClass, RetryOutcome, RetryPolicy};
 pub use server::{serve_concurrent, CompileJob, JobOutcome, JobResponse, Server};

@@ -112,11 +112,12 @@ impl JobResponse {
     }
 }
 
-/// Resolves one suite entry through the sharded store: verified load
-/// (one stripe locked), compile-on-miss *outside* any lock, optimize
-/// under the store's pipeline, store-back (stripe re-locked). This is the
-/// single-request analogue of the incremental driver, shaped for
-/// concurrency.
+/// Resolves one suite entry through the store — the service layer's only
+/// resolve routine, behind both [`Server::run_batch`] and the incremental
+/// driver. The key is computed once; the verified load locks one stripe;
+/// on a miss the entry compiles *outside* any lock under `limits` as
+/// adjusted by the entry's [`SuiteEntry::limits`], is optimized under the
+/// store's pipeline, and is filed back (stripe re-locked).
 pub fn resolve_one(
     store: &ShardedStore,
     entry: &SuiteEntry,
@@ -125,31 +126,27 @@ pub fn resolve_one(
 ) -> CachedResult {
     let model = (entry.model)();
     let spec = (entry.spec)();
-    match store.load_verified(&model, &spec, dbs, limits) {
-        LoadOutcome::Hit(cf) => CachedResult {
-            name: entry.info.name,
-            result: Ok(*cf),
-            provenance: Provenance::Cache,
-        },
+    let key = store.key_for(&model, &spec, dbs, limits);
+    let (result, provenance) = match store.load_verified(key, &model, &spec, dbs) {
+        LoadOutcome::Hit { cf, .. } => (Ok(*cf), Provenance::Cache),
         // Miss, eviction and unavailable all degrade to a fresh compile;
         // the put below refuses or fails harmlessly if the stripe cannot
         // persist (degraded shard, quarantined key).
         LoadOutcome::Miss | LoadOutcome::Evicted { .. } | LoadOutcome::Unavailable { .. } => {
-            let mut result = compile_with_limits(&model, &spec, dbs, *limits);
+            let mut result = compile_with_limits(&model, &spec, dbs, (entry.limits)(*limits));
             if let Ok(cf) = &mut result {
                 let pipeline = store.pipeline();
                 if !pipeline.passes.is_empty() {
                     // Fresh optimization is a fresh claim: certification-
-                    // strength validation, exactly like the incremental
-                    // driver.
+                    // strength validation, not the lighter load re-check.
                     let _ = optimize_compiled(cf, dbs, &pipeline, &CheckConfig::default());
                 }
-                let key = store.key_for(&cf.model, &cf.spec, dbs, limits);
-                let _ = store.put(key, cf);
+                let _ = store.put(key, cf, None);
             }
-            CachedResult { name: entry.info.name, result, provenance: Provenance::Compiled }
+            (result, Provenance::Compiled)
         }
-    }
+    };
+    CachedResult { name: entry.info.name, result, provenance }
 }
 
 /// The concurrent multi-tenant server: sharded store + scheduler +
@@ -307,7 +304,7 @@ impl Server {
 fn job_json(r: &JobResponse, degraded: bool) -> Json {
     let mut fields = match &r.outcome {
         JobOutcome::Done(result) => {
-            let j = crate::batch::program_response(result, false);
+            let j = crate::batch::program_response(result);
             let Json::Obj(pairs) = j else { unreachable!("program_response returns an object") };
             pairs
         }
@@ -331,12 +328,20 @@ fn job_json(r: &JobResponse, degraded: bool) -> Json {
     Json::Obj(fields)
 }
 
-/// Runs one JSON-lines batch through the concurrent server: the
-/// multi-tenant analogue of [`crate::batch::serve`]. Requests may carry a
-/// `"tenant"` field; `suite` expands to one job per program under the
-/// requesting tenant. Failure reporting is in-band exactly as in the
-/// serial front-end, plus typed backpressure
-/// (`{"ok":false,"rejected":true,"reason":"queue_full",…}`).
+/// Runs one JSON-lines batch (the [`crate::batch`] protocol) through the
+/// server: the service's only front-end. Every queued request is read up
+/// front, every compile job any of them names runs in one
+/// [`Server::run_batch`], and the answers go out in request order.
+/// Requests may carry a `"tenant"` field; `suite` expands to one job per
+/// program under the default tenant.
+///
+/// Failure reporting is **in-band** (DESIGN.md §12): a malformed line
+/// yields `{"ok":false}` in its slot, an expired deadline
+/// `{"ok":false,"deadline_exceeded":true}`, a quota rejection typed
+/// backpressure (`{"ok":false,"rejected":true,"reason":"queue_full",…}`),
+/// and every response carries `"degraded":true` once a shard has fallen
+/// back to compile-without-cache. `ping` and `stats` report the store
+/// counters after the batch's compile work.
 ///
 /// Returns the number of requests answered.
 ///
@@ -529,6 +534,183 @@ mod tests {
         // The queue drained: a fresh batch admits again.
         assert!(server.run_batch(&jobs[..1], &dbs)[0].is_ok());
         let _ = std::fs::remove_dir_all(server.store().root());
+    }
+
+    fn run(input: &str, server: &Server) -> Vec<Json> {
+        let mut out = Vec::new();
+        serve_concurrent(input.as_bytes(), &mut out, server, &standard_dbs()).unwrap();
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| rupicola_lang::json::parse(l).unwrap())
+            .collect()
+    }
+
+    fn flag(j: &Json, field: &str) -> Option<bool> {
+        j.get(field).and_then(Json::as_bool)
+    }
+
+    #[test]
+    fn batch_answers_in_order_and_stores_a_repeat_once() {
+        let server = server("order", 1, 1);
+        let input = "{\"op\":\"compile\",\"program\":\"fnv1a\"}\n\
+             {\"op\":\"compile\",\"program\":\"fnv1a\"}\n\
+             {\"op\":\"stats\"}\n\
+             {\"op\":\"compile\",\"program\":\"nosuch\"}\n\
+             bogus\n";
+        let responses = run(input, &server);
+        assert_eq!(responses.len(), 5);
+        assert_eq!(flag(&responses[0], "ok"), Some(true));
+        assert_eq!(responses[0].get("program").and_then(Json::as_str), Some("fnv1a"));
+        // The repeat is served from the artifact the first one filed.
+        assert_eq!(flag(&responses[1], "ok"), Some(true));
+        assert_eq!(flag(&responses[1], "cached"), Some(true));
+        assert_eq!(server.store().stats().stores, 1, "fnv1a stored exactly once");
+        // Stats reflect the batch's compile work.
+        let cache = responses[2].get("cache").unwrap();
+        assert_eq!(cache.get("stores").and_then(Json::as_u64), Some(1));
+        assert_eq!(flag(&responses[3], "ok"), Some(false));
+        assert_eq!(flag(&responses[4], "ok"), Some(false));
+        let _ = std::fs::remove_dir_all(server.store().root());
+    }
+
+    #[test]
+    fn suite_request_reports_cache_provenance() {
+        let server = server("suite", 1, 1);
+        let cold = run("{\"op\":\"suite\"}\n", &server);
+        assert_eq!(cold[0].get("cached").and_then(Json::as_u64), Some(0));
+        assert_eq!(cold[0].get("programs").and_then(Json::as_arr).unwrap().len(), 7);
+        let warm = run("{\"op\":\"suite\"}\n", &server);
+        assert_eq!(warm[0].get("cached").and_then(Json::as_u64), Some(7));
+        let _ = std::fs::remove_dir_all(server.store().root());
+    }
+
+    #[test]
+    fn ping_reports_health_without_compiling() {
+        let server = server("ping", 1, 1);
+        let responses = run("{\"op\":\"ping\"}\n", &server);
+        assert_eq!(responses.len(), 1);
+        let ping = &responses[0];
+        assert_eq!(flag(ping, "ok"), Some(true));
+        assert_eq!(ping.get("op").and_then(Json::as_str), Some("ping"));
+        assert_eq!(ping.get("backend").and_then(Json::as_str), Some("fs"));
+        assert_eq!(flag(ping, "degraded"), Some(false));
+        assert_eq!(
+            ping.get("format").and_then(Json::as_u64),
+            Some(crate::fingerprint::FORMAT_VERSION)
+        );
+        assert!(ping
+            .get("store")
+            .and_then(Json::as_str)
+            .is_some_and(|s| s.contains("rupicola-server-ping")));
+        // The health counters are present and zero on a fresh store.
+        assert_eq!(ping.get("retries").and_then(Json::as_u64), Some(0));
+        assert_eq!(ping.get("quarantined").and_then(Json::as_u64), Some(0));
+        assert_eq!(ping.get("write_failures").and_then(Json::as_u64), Some(0));
+        // Liveness only: no loads, no compiles, no stores.
+        let stats = server.store().stats();
+        assert_eq!((stats.hits, stats.misses, stats.stores), (0, 0, 0));
+        let _ = std::fs::remove_dir_all(server.store().root());
+    }
+
+    #[test]
+    fn ping_surfaces_fault_layer_counters() {
+        use crate::chaos::{ChaosBackend, FaultPlan};
+        // Every write fails (reads are fine): the compile succeeds but the
+        // store-back burns its retries, and the ping answered after the
+        // batch's compile work must surface both counters.
+        let plan = FaultPlan { write_eio: 1000, ..FaultPlan::calm(3) };
+        let store = ShardedStore::open_with(
+            scratch("faulty-ping"),
+            1,
+            |_| Box::new(ChaosBackend::new(plan)),
+            |s| s,
+        )
+        .unwrap();
+        let server = Server::new(store, TenantTable::default(), 1);
+        let responses =
+            run("{\"op\":\"compile\",\"program\":\"fnv1a\"}\n{\"op\":\"ping\"}\n", &server);
+        assert_eq!(flag(&responses[0], "ok"), Some(true));
+        let ping = &responses[1];
+        assert!(
+            ping.get("retries").and_then(Json::as_u64).is_some_and(|r| r > 0),
+            "write retries visible in ping: {ping:?}"
+        );
+        assert!(
+            ping.get("write_failures").and_then(Json::as_u64).is_some_and(|w| w > 0),
+            "write failures visible in ping: {ping:?}"
+        );
+        let _ = std::fs::remove_dir_all(server.store().root());
+    }
+
+    #[test]
+    fn degraded_store_answers_the_batch_and_says_so() {
+        // A store that cannot touch disk at all: every response must still
+        // arrive (compile-without-cache) and carry the degraded flag.
+        let store = ShardedStore::open_degraded(scratch("degraded"), 1);
+        let server = Server::new(store, TenantTable::default(), 1);
+        let responses =
+            run("{\"op\":\"ping\"}\n{\"op\":\"compile\",\"program\":\"fnv1a\"}\n", &server);
+        assert_eq!(flag(&responses[0], "degraded"), Some(true));
+        assert_eq!(flag(&responses[1], "ok"), Some(true), "{responses:?}");
+        assert_eq!(flag(&responses[1], "cached"), Some(false));
+        assert_eq!(flag(&responses[1], "degraded"), Some(true));
+        assert_eq!(server.store().stats().stores, 0, "degraded store persists nothing");
+        assert!(!server.store().root().exists(), "degraded store creates no directories");
+    }
+
+    #[test]
+    fn expired_deadline_is_reported_in_band() {
+        let server = server("deadline", 1, 1);
+        // deadline_ms:0 expires at the first judgment — deterministically,
+        // because the engine checks the clock inclusively.
+        let responses =
+            run("{\"op\":\"compile\",\"program\":\"fnv1a\",\"deadline_ms\":0}\n", &server);
+        assert_eq!(responses.len(), 1);
+        assert_eq!(flag(&responses[0], "ok"), Some(false));
+        assert_eq!(flag(&responses[0], "deadline_exceeded"), Some(true));
+        assert!(responses[0]
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("wall-clock")));
+        // A generous deadline compiles normally and is persisted under the
+        // same key an undeadline'd request would use.
+        let responses = run(
+            "{\"op\":\"compile\",\"program\":\"fnv1a\",\"deadline_ms\":600000}\n",
+            &server,
+        );
+        assert_eq!(flag(&responses[0], "ok"), Some(true));
+        assert!(responses[0].get("deadline_exceeded").is_none());
+        assert_eq!(server.store().stats().stores, 1);
+        // …which an undeadline'd request now hits.
+        let responses = run("{\"op\":\"compile\",\"program\":\"fnv1a\"}\n", &server);
+        assert_eq!(flag(&responses[0], "cached"), Some(true));
+        let _ = std::fs::remove_dir_all(server.store().root());
+    }
+
+    #[test]
+    fn resolve_one_applies_the_entry_limits() {
+        // `chacha20_block` needs the raised recursion depth its suite entry
+        // declares; under the bare default limits it would fail. The opt
+        // pipeline is off: only the engine limits are under test.
+        let entry = rupicola_programs::perf_suite()
+            .into_iter()
+            .find(|e| e.info.name == "chacha20_block")
+            .expect("perf suite has chacha20_block");
+        let store = ShardedStore::open_with(
+            scratch("entry-limits"),
+            1,
+            |_| Box::new(crate::backend::FsBackend),
+            |s| s.with_pipeline(rupicola_opt::PipelineConfig::none()),
+        )
+        .unwrap();
+        let dbs = standard_dbs();
+        let resolved = rupicola_programs::parallel::on_deep_stack(|| {
+            resolve_one(&store, &entry, &dbs, &EngineLimits::default())
+        });
+        assert!(resolved.result.is_ok(), "{:?}", resolved.result.err());
+        assert_eq!(resolved.provenance, Provenance::Compiled);
+        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]

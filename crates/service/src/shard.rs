@@ -1,12 +1,16 @@
-//! The lock-striped sharded artifact store.
+//! The lock-striped sharded artifact store — the service's one store API.
 //!
-//! A single [`Store`] requires `&mut` for every load and put, which
-//! serializes a whole server behind one lock. [`ShardedStore`] stripes
-//! the key space over `N` independent shards — each its own [`Store`]
-//! on its own [`Backend`], behind its own `Mutex` — so concurrent
-//! requests whose fingerprints land in different shards proceed fully in
-//! parallel: reads, verification, eviction bookkeeping, quarantine and
-//! degraded-mode tracking are all per-shard state.
+//! A [`Store`] shard requires `&mut` for every load and put.
+//! [`ShardedStore`] stripes the key space over `N` independent shards —
+//! each its own [`Store`] on its own [`Backend`], behind its own `Mutex`
+//! — so concurrent requests whose fingerprints land in different shards
+//! proceed fully in parallel: reads, verification, eviction bookkeeping,
+//! quarantine and degraded-mode tracking are all per-shard state.
+//!
+//! Every caller goes through three methods: [`ShardedStore::key_for`]
+//! computes a request's key once, and [`ShardedStore::load_verified`] and
+//! [`ShardedStore::put`] take that key (a hit, and a put, carry the
+//! optional RISC-V machine artifact).
 //!
 //! # Routing
 //!
@@ -24,9 +28,10 @@
 //!
 //! # Layout
 //!
-//! `shards = 1` uses the root directory itself — byte-identical layout to
-//! a plain [`Store`], which keeps every existing single-store tool,
-//! test and artifact compatible. `shards = N > 1` places shard `i` under
+//! `shards = 1` uses the root directory itself — the flat layout of the
+//! pre-sharding store, which keeps every existing artifact compatible and
+//! is what the incremental driver and `served` use by default.
+//! `shards = N > 1` places shard `i` under
 //! `<root>/shard-<i:02x>/`. The shard count is a *deployment* choice, not
 //! part of any fingerprint: resharding is `rsync` by filename, and a
 //! request's key is the same under every shard count.
@@ -66,8 +71,7 @@ pub fn shard_of_key(key: Fingerprint, nshards: usize) -> usize {
 }
 
 /// The root directory of shard `index` out of `nshards`, under `root`.
-/// The 1-shard layout is the root itself — identical to a plain
-/// [`Store`].
+/// The 1-shard layout is the root itself.
 pub fn shard_root(root: &Path, index: usize, nshards: usize) -> PathBuf {
     if nshards <= 1 {
         root.to_path_buf()
@@ -127,8 +131,10 @@ impl ShardedStore {
     }
 
     /// A sharded store whose every shard is **born degraded**
-    /// (compile-without-cache): the concurrent server's fallback when the
-    /// root cannot be opened, mirroring [`Store::open_degraded`].
+    /// (compile-without-cache): it never touches the disk, every load
+    /// answers [`LoadOutcome::Unavailable`] and every put is skipped. This
+    /// is `served`'s fallback when the store root cannot be opened at all —
+    /// the batch still gets answered, just without persistence.
     pub fn open_degraded(root: impl Into<PathBuf>, nshards: usize) -> ShardedStore {
         let root = root.into();
         let nshards = nshards.max(1);
@@ -177,77 +183,48 @@ impl ShardedStore {
         self.shard(0).pipeline().clone()
     }
 
-    /// Configures every shard to key under — and demand, re-validate and
-    /// serve — RISC-V machine artifacts produced by `pipeline`. Mirrors
-    /// [`Store::with_rv_pipeline`] across all stripes; every shard stays
-    /// identically configured, so routing and keys remain agreed.
-    #[must_use]
-    pub fn with_rv_pipeline(self, pipeline: RvPipelineConfig) -> ShardedStore {
-        for i in 0..self.shards.len() {
-            self.shard(i).set_rv_pipeline(pipeline.clone());
-        }
-        self
-    }
-
     /// The RISC-V pipeline the shards key under, if one is configured
     /// (shard 0's — identical across shards by construction).
     pub fn rv_pipeline(&self) -> Option<RvPipelineConfig> {
         self.shard(0).rv_pipeline().cloned()
     }
 
-    /// Verified load, routed by fingerprint: locks exactly one stripe.
+    /// Verified load of the artifact filed under `key` (from
+    /// [`ShardedStore::key_for`]) for `(model, spec)`: locks exactly the
+    /// stripe `key` routes to. A hit carries the re-validated machine
+    /// artifact when the store keys under an rv pipeline.
     pub fn load_verified(
         &self,
+        key: Fingerprint,
         model: &Model,
         spec: &FnSpec,
         dbs: &HintDbs,
-        limits: &EngineLimits,
     ) -> LoadOutcome {
-        let key = self.key_for(model, spec, dbs, limits);
-        self.shard(self.shard_of(key)).load_verified(model, spec, dbs, limits)
+        self.shard(self.shard_of(key)).load(key, model, spec, dbs)
     }
 
-    /// Put, routed by fingerprint: locks exactly one stripe.
+    /// Files `cf` under `key`, with the validated machine artifact `rv`
+    /// exactly when the store keys under an rv pipeline: locks exactly the
+    /// stripe `key` routes to.
     ///
     /// # Errors
     ///
-    /// See [`Store::put`] — degraded shards and quarantined keys refuse.
-    pub fn put(&self, key: Fingerprint, cf: &CompiledFunction) -> Result<PathBuf, String> {
-        self.shard(self.shard_of(key)).put(key, cf)
-    }
-
-    /// [`ShardedStore::put`] carrying a validated RISC-V machine
-    /// artifact, routed by fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// See [`Store::put_with_rv`].
-    pub fn put_with_rv(
+    /// Degraded shards and quarantined keys refuse, post-retry I/O errors
+    /// fail, and so does an `rv` whose presence disagrees with the store's
+    /// rv pipeline.
+    pub fn put(
         &self,
         key: Fingerprint,
         cf: &CompiledFunction,
         rv: Option<&RvArtifact>,
     ) -> Result<PathBuf, String> {
-        self.shard(self.shard_of(key)).put_with_rv(key, cf, rv)
-    }
-
-    /// [`ShardedStore::load_verified`] that also surfaces the
-    /// re-validated machine artifact on a hit (see
-    /// [`Store::load_verified_rv`]).
-    pub fn load_verified_rv(
-        &self,
-        model: &Model,
-        spec: &FnSpec,
-        dbs: &HintDbs,
-        limits: &EngineLimits,
-    ) -> (LoadOutcome, Option<Box<RvArtifact>>) {
-        let key = self.key_for(model, spec, dbs, limits);
-        self.shard(self.shard_of(key)).load_verified_rv(model, spec, dbs, limits)
+        self.shard(self.shard_of(key)).put(key, cf, rv)
     }
 
     /// Aggregated lifetime counters across every shard.
     pub fn stats(&self) -> CacheStats {
-        self.shard_stats().iter().fold(CacheStats::default(), |mut acc, s| {
+        let per_shard = (0..self.shards.len()).map(|i| self.shard(i).stats());
+        per_shard.fold(CacheStats::default(), |mut acc, s| {
             acc.hits += s.hits;
             acc.misses += s.misses;
             acc.evictions += s.evictions;
@@ -260,11 +237,6 @@ impl ShardedStore {
             acc.verify_nanos += s.verify_nanos;
             acc
         })
-    }
-
-    /// Per-shard counters, in shard order.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        (0..self.shards.len()).map(|i| self.shard(i).stats()).collect()
     }
 
     /// Whether *any* shard has flipped into degraded mode (the in-band
@@ -367,14 +339,14 @@ mod tests {
         let spec = rupicola_programs::fnv1a::spec();
         let cf = rupicola_programs::fnv1a::compiled().unwrap();
         let key = sharded.key_for(&model, &spec, &dbs, &limits);
-        let path = sharded.put(key, &cf).unwrap();
+        let path = sharded.put(key, &cf, None).unwrap();
         assert_eq!(path.parent().unwrap(), root, "1-shard artifacts live at the root");
-        // A plain single Store opened at the same root serves the same
-        // artifact (and vice versa): the layouts are identical.
-        let mut plain = Store::open(&root).unwrap();
+        // A single shard opened at the same root serves the same artifact
+        // (and vice versa): the layouts are identical.
+        let mut plain = Store::open_with_backend(&root, Box::new(FsBackend)).unwrap();
         assert_eq!(plain.key_for(&model, &spec, &dbs, &limits), key);
-        match plain.load_verified(&model, &spec, &dbs, &limits) {
-            LoadOutcome::Hit(loaded) => assert_eq!(loaded.function, cf.function),
+        match plain.load(key, &model, &spec, &dbs) {
+            LoadOutcome::Hit { cf: loaded, .. } => assert_eq!(loaded.function, cf.function),
             other => panic!("expected hit, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&root);
@@ -391,11 +363,11 @@ mod tests {
             let spec = (entry.spec)();
             let cf = (entry.compiled)().unwrap();
             let key = sharded.key_for(&model, &spec, &dbs, &limits);
-            let path = sharded.put(key, &cf).unwrap();
+            let path = sharded.put(key, &cf, None).unwrap();
             let expected_dir = shard_root(&root, sharded.shard_of(key), 8);
             assert_eq!(path.parent().unwrap(), expected_dir);
-            match sharded.load_verified(&model, &spec, &dbs, &limits) {
-                LoadOutcome::Hit(loaded) => assert_eq!(loaded.function, cf.function),
+            match sharded.load_verified(key, &model, &spec, &dbs) {
+                LoadOutcome::Hit { cf: loaded, .. } => assert_eq!(loaded.function, cf.function),
                 other => panic!("{}: expected hit, got {other:?}", entry.info.name),
             }
         }
@@ -436,18 +408,18 @@ mod tests {
         // Hammer shard 0 with loads until it degrades.
         let model = rupicola_programs::fnv1a::model();
         let spec = rupicola_programs::fnv1a::spec();
+        let key = sharded.key_for(&model, &spec, &dbs, &limits);
         for _ in 0..4 {
-            let _ = sharded.shard(0).load_verified(&model, &spec, &dbs, &limits);
+            let _ = sharded.shard(0).load(key, &model, &spec, &dbs);
         }
         assert!(sharded.shard(0).degraded());
         assert!(sharded.any_degraded());
         assert!(!sharded.all_degraded(), "an outage on one stripe is not a store outage");
         // Healthy shards still store and serve.
         let cf = rupicola_programs::fnv1a::compiled().unwrap();
-        let key = sharded.key_for(&model, &spec, &dbs, &limits);
         let healthy = (sharded.shard_of(key) + 1) % 4;
         let healthy = if healthy == 0 { 1 } else { healthy };
-        sharded.shard(healthy).put(key, &cf).unwrap();
+        sharded.shard(healthy).put(key, &cf, None).unwrap();
         assert_eq!(sharded.stats().stores, 1);
         let _ = fs::remove_dir_all(&root);
     }

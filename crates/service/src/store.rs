@@ -54,7 +54,7 @@
 //!   [`QUARANTINE_AFTER`] times stops being cached at all (loads answer
 //!   `Unavailable`, puts are refused), so a bad sector cannot cause an
 //!   endless store → evict → recompile → store cycle;
-//! - **crash recovery**: [`Store::open`] scavenges orphaned
+//! - **crash recovery**: opening a store scavenges orphaned
 //!   `…tmp.<pid>` files left by processes killed mid-store (only files
 //!   whose writer pid is provably dead are reaped);
 //! - **multi-process sharing** is serialized by an advisory
@@ -79,7 +79,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::backend::{Backend, FsBackend};
-use crate::fingerprint::{fingerprint_with_pipeline_ct_rv, Fingerprint, FORMAT_VERSION};
+use crate::fingerprint::{fingerprint, Fingerprint, FORMAT_VERSION};
 use crate::retry::{with_retry, RetryPolicy};
 use rupicola_bedrock::rv_compile::RvArtifact;
 use rupicola_bedrock::serial::{decode_rv_artifact, encode_rv_artifact};
@@ -208,11 +208,21 @@ impl CacheStats {
     }
 }
 
-/// Outcome of a [`Store::load_verified`] call.
+/// Outcome of a verified load ([`ShardedStore::load_verified`]).
+///
+/// [`ShardedStore::load_verified`]: crate::shard::ShardedStore::load_verified
 #[derive(Debug)]
 pub enum LoadOutcome {
     /// A verified artifact, served from disk. No derivation was performed.
-    Hit(Box<CompiledFunction>),
+    Hit {
+        /// The re-certified compilation artifact.
+        cf: Box<CompiledFunction>,
+        /// The re-validated RISC-V machine artifact: `Some` exactly when
+        /// the store keys under an rv pipeline. It has just been
+        /// differentially re-executed against `cf`, so it is as
+        /// trustworthy as the certificate itself.
+        rv: Option<Box<RvArtifact>>,
+    },
     /// Nothing stored under this key.
     Miss,
     /// An artifact existed but failed verification and was deleted.
@@ -309,7 +319,14 @@ impl Drop for StoreLock {
     }
 }
 
-/// A content-addressed on-disk artifact store with verified loads.
+/// One shard of the artifact store: a content-addressed directory with
+/// verified loads, its own backend, counters, degraded flag and
+/// quarantine. Shards are opened, configured (through the builder methods,
+/// as the `tune` hook of [`ShardedStore::open_with`]) and driven only by
+/// [`ShardedStore`].
+///
+/// [`ShardedStore`]: crate::shard::ShardedStore
+/// [`ShardedStore::open_with`]: crate::shard::ShardedStore::open_with
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
@@ -339,89 +356,57 @@ pub struct Store {
 }
 
 impl Store {
-    /// Opens (creating if needed) a store rooted at `root` on the real
-    /// filesystem, then runs startup recovery (orphaned temp files whose
-    /// writer process is dead are scavenged — see
+    /// Opens (creating if needed) a store rooted at `root` over `backend`
+    /// — the chaos backend in tests and `chaosbench`, the plain filesystem
+    /// in production — then runs startup recovery (orphaned temp files
+    /// whose writer process is dead are scavenged — see
     /// [`CacheStats::scavenged`]).
     ///
     /// # Errors
     ///
-    /// Fails if the directory cannot be created (after retries).
-    pub fn open(root: impl Into<PathBuf>) -> Result<Store, String> {
-        Store::open_with_backend(root, Box::new(FsBackend))
-    }
-
-    /// [`Store::open`] over an explicit [`Backend`] — the chaos backend
-    /// in tests and `chaosbench`, the plain filesystem in production.
-    ///
-    /// # Errors
-    ///
     /// Fails if the root directory cannot be created (after retries).
-    pub fn open_with_backend(
+    pub(crate) fn open_with_backend(
         root: impl Into<PathBuf>,
         backend: Box<dyn Backend>,
     ) -> Result<Store, String> {
-        let root = root.into();
-        let retry = RetryPolicy::default();
-        let mk = with_retry(&retry, || backend.create_dir_all(&root));
-        let retries = mk.retries;
+        let mut store = Store::unopened(root.into(), backend, RetryPolicy::default(), false);
+        let mk = with_retry(&store.retry, || store.backend.create_dir_all(&store.root));
         mk.result
-            .map_err(|e| format!("cannot create store root {}: {e}", root.display()))?;
-        let check = CheckConfig { vectors: LOAD_CHECK_VECTORS, ..CheckConfig::default() };
-        let mut store = Store {
-            root,
-            backend,
-            retry,
-            check,
-            lint_on_load: false,
-            pipeline: PipelineConfig::full(),
-            rv_pipeline: None,
-            stats: CacheStats::default(),
-            degraded: false,
-            degrade_after: DEGRADE_AFTER,
-            consecutive_failures: 0,
-            evict_counts: HashMap::new(),
-            quarantine: HashSet::new(),
-            quarantine_after: QUARANTINE_AFTER,
-        };
-        store.stats.retries += u64::from(retries);
+            .map_err(|e| format!("cannot create store root {}: {e}", store.root.display()))?;
+        store.stats.retries += u64::from(mk.retries);
         store.recover();
         Ok(store)
     }
 
     /// A store that is **born degraded**: it never touches the disk, every
-    /// load answers [`LoadOutcome::Unavailable`] and every put is
-    /// skipped. This is the compile-without-cache fallback `served` uses
-    /// when the store root cannot be opened at all — the batch still gets
-    /// answered, just without persistence.
-    pub fn open_degraded(root: impl Into<PathBuf>) -> Store {
-        let check = CheckConfig { vectors: LOAD_CHECK_VECTORS, ..CheckConfig::default() };
+    /// load answers [`LoadOutcome::Unavailable`] and every put is skipped.
+    pub(crate) fn open_degraded(root: impl Into<PathBuf>) -> Store {
+        Store::unopened(root.into(), Box::new(FsBackend), RetryPolicy::none(), true)
+    }
+
+    /// A store with the default configuration that has not touched disk.
+    fn unopened(
+        root: PathBuf,
+        backend: Box<dyn Backend>,
+        retry: RetryPolicy,
+        degraded: bool,
+    ) -> Store {
         Store {
-            root: root.into(),
-            backend: Box::new(FsBackend),
-            retry: RetryPolicy::none(),
-            check,
+            root,
+            backend,
+            retry,
+            check: CheckConfig { vectors: LOAD_CHECK_VECTORS, ..CheckConfig::default() },
             lint_on_load: false,
             pipeline: PipelineConfig::full(),
             rv_pipeline: None,
             stats: CacheStats::default(),
-            degraded: true,
+            degraded,
             degrade_after: DEGRADE_AFTER,
             consecutive_failures: 0,
             evict_counts: HashMap::new(),
             quarantine: HashSet::new(),
             quarantine_after: QUARANTINE_AFTER,
         }
-    }
-
-    /// Opens the store at the environment-resolved root
-    /// (see [`store_root_from_env`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates environment and filesystem errors.
-    pub fn open_from_env() -> Result<Store, String> {
-        Store::open(store_root_from_env()?)
     }
 
     /// Replaces the checker configuration used by verified loads.
@@ -449,22 +434,15 @@ impl Store {
         self
     }
 
-    /// Keys and verifies artifacts under a RISC-V lowering pipeline
-    /// (consuming builder form of [`Store::set_rv_pipeline`]).
+    /// Keys and verifies artifacts under a RISC-V lowering pipeline: the
+    /// pipeline identity joins the fingerprint, every put must carry the
+    /// machine artifact, and every load requires one and differentially
+    /// re-validates it against the decoded certificate (evicting on
+    /// absence, identity mismatch, or divergence).
     #[must_use]
     pub fn with_rv_pipeline(mut self, rv: RvPipelineConfig) -> Store {
-        self.set_rv_pipeline(rv);
-        self
-    }
-
-    /// Keys and verifies artifacts under a RISC-V lowering pipeline: the
-    /// pipeline identity joins the fingerprint, [`Store::put_with_rv`]
-    /// persists the machine artifact in the envelope, and every load
-    /// requires one and differentially re-validates it against the
-    /// decoded certificate (evicting on absence, identity mismatch, or
-    /// divergence).
-    pub fn set_rv_pipeline(&mut self, rv: RvPipelineConfig) {
         self.rv_pipeline = Some(rv);
+        self
     }
 
     /// The RISC-V lowering pipeline this store keys under, if any.
@@ -523,15 +501,6 @@ impl Store {
         self.backend.name()
     }
 
-    /// Acquires the advisory cross-process lock for this store's root.
-    ///
-    /// # Errors
-    ///
-    /// See [`StoreLock::acquire`].
-    pub fn lock(&self, wait: Duration) -> Result<StoreLock, String> {
-        StoreLock::acquire(&self.root, wait)
-    }
-
     /// The file an artifact for `(name, key)` lives in.
     pub fn path_for(&self, name: &str, key: Fingerprint) -> PathBuf {
         self.root.join(format!("{name}-{key}.json"))
@@ -543,7 +512,7 @@ impl Store {
     /// of the key (see `fingerprint`): deadlines change when an answer
     /// arrives, never which artifact is correct, and keying on them would
     /// fragment the cache across tenants with different latency budgets.
-    pub fn key_for(
+    pub(crate) fn key_for(
         &self,
         model: &Model,
         spec: &FnSpec,
@@ -559,7 +528,7 @@ impl Store {
             .rv_pipeline
             .as_ref()
             .map_or_else(|| "none".to_string(), RvPipelineConfig::identity_string);
-        fingerprint_with_pipeline_ct_rv(
+        fingerprint(
             model,
             spec,
             dbs,
@@ -621,32 +590,22 @@ impl Store {
         }
     }
 
-    /// Writes `cf` under `key`. The write goes through a temporary file in
-    /// the same directory followed by a rename (see
-    /// [`Backend::write_atomic`]), so concurrent readers see either the
-    /// old artifact or the new one, never a torn file. Transient I/O
-    /// faults are retried; a degraded store and quarantined keys skip the
-    /// write.
+    /// Writes `cf` — and, when this store keys under an rv pipeline, the
+    /// validated machine artifact `rv_artifact` — under `key`. The write
+    /// goes through a temporary file in the same directory followed by a
+    /// rename (see [`Backend::write_atomic`]), so concurrent readers see
+    /// either the old artifact or the new one, never a torn file. Transient
+    /// I/O faults are retried; a degraded store and quarantined keys skip
+    /// the write.
     ///
     /// # Errors
     ///
-    /// Fails on post-retry I/O errors, in degraded mode, and for
-    /// quarantined keys; the store counters are only bumped on success.
-    pub fn put(&mut self, key: Fingerprint, cf: &CompiledFunction) -> Result<PathBuf, String> {
-        self.put_with_rv(key, cf, None)
-    }
-
-    /// [`Store::put`] with an optional validated RISC-V machine artifact
-    /// riding in the envelope. When this store was configured with a
-    /// [`RvPipelineConfig`], the artifact is *required* — persisting a
-    /// certificate without the machine code the key promises would make
-    /// every subsequent load an eviction.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Store::put`] can report, plus a configuration
-    /// mismatch between the store's rv pipeline and `rv_artifact`.
-    pub fn put_with_rv(
+    /// Fails on post-retry I/O errors, in degraded mode, for quarantined
+    /// keys, and when `rv_artifact`'s presence disagrees with the store's
+    /// rv pipeline (persisting a certificate without the machine code the
+    /// key promises would make every later load an eviction); the store
+    /// counters are only bumped on success.
+    pub(crate) fn put(
         &mut self,
         key: Fingerprint,
         cf: &CompiledFunction,
@@ -717,185 +676,60 @@ impl Store {
         }
     }
 
-    /// Attempts a verified load of the artifact for `(model, spec, dbs,
-    /// limits)`. See the module docs for the verification ladder; on any
-    /// failure the artifact is evicted and the caller should recompile.
-    pub fn load_verified(
+    /// Attempts a verified load of the artifact filed under `key` for
+    /// `(model, spec)`. See the module docs for the verification ladder; on
+    /// any failure the artifact is evicted and the caller should recompile.
+    pub(crate) fn load(
         &mut self,
-        model: &Model,
-        spec: &FnSpec,
-        dbs: &HintDbs,
-        limits: &EngineLimits,
-    ) -> LoadOutcome {
-        let key = self.key_for(model, spec, dbs, limits);
-        let path = self.path_for(&spec.name, key);
-        let raw = self.attempt(&path, key, model, spec, dbs);
-        self.settle(raw).0
-    }
-
-    /// [`Store::load_verified`] returning the re-validated RISC-V machine
-    /// artifact alongside the certificate. The artifact is `Some` exactly
-    /// on a hit of a store configured with an rv pipeline — and it has
-    /// just been differentially re-executed against the decoded
-    /// certificate, so it is as trustworthy as the certificate itself.
-    pub fn load_verified_rv(
-        &mut self,
-        model: &Model,
-        spec: &FnSpec,
-        dbs: &HintDbs,
-        limits: &EngineLimits,
-    ) -> (LoadOutcome, Option<Box<RvArtifact>>) {
-        let key = self.key_for(model, spec, dbs, limits);
-        let path = self.path_for(&spec.name, key);
-        let raw = self.attempt(&path, key, model, spec, dbs);
-        self.settle(raw)
-    }
-
-    /// Batch form of [`Store::load_verified`]: runs the read+verify part
-    /// of every request in parallel (`std::thread::scope`, worker count
-    /// capped at available parallelism), then applies counter updates and
-    /// evictions serially. Results come back in request order, and the
-    /// counters end up exactly as if the requests had been issued one by
-    /// one — verification is a pure function of the file contents and the
-    /// request, so only the bookkeeping needs the `&mut`.
-    pub fn load_verified_many(
-        &mut self,
-        requests: &[(&Model, &FnSpec)],
-        dbs: &HintDbs,
-        limits: &EngineLimits,
-    ) -> Vec<LoadOutcome> {
-        let attempt = |&(model, spec): &(&Model, &FnSpec)| -> Raw {
-            let key = self.key_for(model, spec, dbs, limits);
-            let path = self.path_for(&spec.name, key);
-            self.attempt(&path, key, model, spec, dbs)
-        };
-        let workers = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZero::get)
-            .min(requests.len());
-        let mut raws: Vec<Option<Raw>> = Vec::new();
-        raws.resize_with(requests.len(), || None);
-        if workers <= 1 {
-            for (slot, req) in raws.iter_mut().zip(requests) {
-                *slot = Some(attempt(req));
-            }
-        } else {
-            std::thread::scope(|scope| {
-                type Slot<'v, 'r> = (&'v (&'r Model, &'r FnSpec), &'v mut Option<Raw>);
-                let mut views: Vec<Vec<Slot<'_, '_>>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (i, (req, slot)) in requests.iter().zip(raws.iter_mut()).enumerate() {
-                    views[i % workers].push((req, slot));
-                }
-                for view in views {
-                    scope.spawn(|| {
-                        for (req, slot) in view {
-                            *slot = Some(attempt(req));
-                        }
-                    });
-                }
-            });
-        }
-        raws.into_iter()
-            .map(|raw| {
-                let raw = raw.unwrap_or(Raw {
-                    retries: 0,
-                    nanos: 0,
-                    kind: RawKind::Unavailable("worker lost the slot".to_string()),
-                });
-                self.settle(raw).0
-            })
-            .collect()
-    }
-
-    /// The read side of one load, free of `&mut` bookkeeping so it can
-    /// run on worker threads: retried read, then the verification ladder.
-    fn attempt(
-        &self,
-        path: &Path,
         key: Fingerprint,
         model: &Model,
         spec: &FnSpec,
         dbs: &HintDbs,
-    ) -> Raw {
+    ) -> LoadOutcome {
+        let path = self.path_for(&spec.name, key);
+        // A degraded/quarantined skip is not a fresh backend failure; only
+        // real post-retry I/O errors count toward the degrade threshold.
         if self.degraded {
-            return Raw {
-                retries: 0,
-                nanos: 0,
-                kind: RawKind::Unavailable("store degraded (compile-without-cache)".to_string()),
-            };
+            self.stats.unavailable += 1;
+            let reason = "store degraded (compile-without-cache)".to_string();
+            return LoadOutcome::Unavailable { reason };
         }
-        if self.quarantine.contains(path) {
-            return Raw {
-                retries: 0,
-                nanos: 0,
-                kind: RawKind::Unavailable(format!(
-                    "{} quarantined after repeated evictions",
-                    path.display()
-                )),
-            };
+        if self.quarantine.contains(&path) {
+            self.stats.unavailable += 1;
+            let reason = format!("{} quarantined after repeated evictions", path.display());
+            return LoadOutcome::Unavailable { reason };
         }
-        let read = with_retry(&self.retry, || self.backend.read_to_string(path));
-        let retries = read.retries;
+        let read = with_retry(&self.retry, || self.backend.read_to_string(&path));
+        self.stats.retries += u64::from(read.retries);
         let text = match read.result {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Raw { retries, nanos: 0, kind: RawKind::Miss };
+                self.note_backend_ok();
+                self.stats.misses += 1;
+                return LoadOutcome::Miss;
             }
             // Non-UTF-8 contents are *corruption*, not an I/O fault: the
             // artifact must be evicted, exactly like undecodable JSON.
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                return Raw {
-                    retries,
-                    nanos: 0,
-                    kind: RawKind::Evict(path.to_path_buf(), format!("unreadable (corrupt): {e}")),
-                };
+                return self.evict(&path, format!("unreadable (corrupt): {e}"));
             }
             Err(e) => {
-                return Raw {
-                    retries,
-                    nanos: 0,
-                    kind: RawKind::Unavailable(format!(
-                        "read failed after {retries} retries: {e}"
-                    )),
-                };
+                self.note_backend_failure();
+                self.stats.unavailable += 1;
+                let reason = format!("read failed after {} retries: {e}", read.retries);
+                return LoadOutcome::Unavailable { reason };
             }
         };
         let started = Instant::now();
-        let outcome = self.verify(&text, key, model, spec, dbs);
-        let nanos = started.elapsed().as_nanos();
-        match outcome {
-            Ok((cf, rv)) => Raw { retries, nanos, kind: RawKind::Hit(cf, rv) },
-            Err(reason) => Raw { retries, nanos, kind: RawKind::Evict(path.to_path_buf(), reason) },
-        }
-    }
-
-    /// The serial bookkeeping for one [`Raw`] attempt: counters, degraded
-    /// tracking, quarantine, eviction.
-    fn settle(&mut self, raw: Raw) -> (LoadOutcome, Option<Box<RvArtifact>>) {
-        self.stats.retries += u64::from(raw.retries);
-        self.stats.verify_nanos += raw.nanos;
-        match raw.kind {
-            RawKind::Miss => {
-                self.note_backend_ok();
-                self.stats.misses += 1;
-                (LoadOutcome::Miss, None)
-            }
-            RawKind::Hit(cf, rv) => {
+        let verified = self.verify(&text, key, model, spec, dbs);
+        self.stats.verify_nanos += started.elapsed().as_nanos();
+        match verified {
+            Ok((cf, rv)) => {
                 self.note_backend_ok();
                 self.stats.hits += 1;
-                (LoadOutcome::Hit(cf), rv)
+                LoadOutcome::Hit { cf, rv }
             }
-            RawKind::Evict(path, reason) => (self.evict(&path, reason), None),
-            RawKind::Unavailable(reason) => {
-                // A degraded/quarantined skip is not a fresh backend
-                // failure; only real post-retry I/O errors count toward
-                // the degrade threshold.
-                if !self.degraded && !reason.contains("quarantined") {
-                    self.note_backend_failure();
-                }
-                self.stats.unavailable += 1;
-                (LoadOutcome::Unavailable { reason }, None)
-            }
+            Err(reason) => self.evict(&path, reason),
         }
     }
 
@@ -1034,20 +868,6 @@ impl Store {
     }
 }
 
-/// One attempted load before the serial bookkeeping is applied.
-struct Raw {
-    retries: u32,
-    nanos: u128,
-    kind: RawKind,
-}
-
-enum RawKind {
-    Miss,
-    Hit(Box<CompiledFunction>, Option<Box<RvArtifact>>),
-    Evict(PathBuf, String),
-    Unavailable(String),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1061,18 +881,33 @@ mod tests {
         dir
     }
 
+    fn open(root: impl Into<PathBuf>) -> Result<Store, String> {
+        Store::open_with_backend(root, Box::new(FsBackend))
+    }
+
+    fn load(
+        store: &mut Store,
+        model: &Model,
+        spec: &FnSpec,
+        dbs: &HintDbs,
+        limits: &EngineLimits,
+    ) -> LoadOutcome {
+        let key = store.key_for(model, spec, dbs, limits);
+        store.load(key, model, spec, dbs)
+    }
+
     #[test]
     fn put_then_load_verified_hits() {
-        let mut store = Store::open(scratch_root("hit")).unwrap();
+        let mut store = open(scratch_root("hit")).unwrap();
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
         let spec = rupicola_programs::fnv1a::spec();
         let cf = rupicola_programs::fnv1a::compiled().unwrap();
         let key = store.key_for(&model, &spec, &dbs, &limits);
-        store.put(key, &cf).unwrap();
-        match store.load_verified(&model, &spec, &dbs, &limits) {
-            LoadOutcome::Hit(loaded) => {
+        store.put(key, &cf, None).unwrap();
+        match load(&mut store, &model, &spec, &dbs, &limits) {
+            LoadOutcome::Hit { cf: loaded, .. } => {
                 assert_eq!(loaded.function, cf.function);
                 assert_eq!(loaded.derivation, cf.derivation);
                 assert_eq!(loaded.stats, cf.stats);
@@ -1089,9 +924,10 @@ mod tests {
 
     #[test]
     fn empty_store_misses() {
-        let mut store = Store::open(scratch_root("miss")).unwrap();
+        let mut store = open(scratch_root("miss")).unwrap();
         let dbs = standard_dbs();
-        let outcome = store.load_verified(
+        let outcome = load(
+            &mut store,
             &rupicola_programs::fnv1a::model(),
             &rupicola_programs::fnv1a::spec(),
             &dbs,
@@ -1104,7 +940,7 @@ mod tests {
 
     #[test]
     fn garbage_artifact_is_evicted() {
-        let mut store = Store::open(scratch_root("garbage")).unwrap();
+        let mut store = open(scratch_root("garbage")).unwrap();
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1112,19 +948,19 @@ mod tests {
         let key = store.key_for(&model, &spec, &dbs, &limits);
         let path = store.path_for(&spec.name, key);
         fs::write(&path, "{ not json").unwrap();
-        match store.load_verified(&model, &spec, &dbs, &limits) {
+        match load(&mut store, &model, &spec, &dbs, &limits) {
             LoadOutcome::Evicted { reason } => assert!(reason.contains("invalid JSON"), "{reason}"),
             other => panic!("expected eviction, got {other:?}"),
         }
         assert!(!path.exists(), "evicted artifact must be deleted");
         // Next lookup is a clean miss: the poisoned file is gone.
-        assert!(matches!(store.load_verified(&model, &spec, &dbs, &limits), LoadOutcome::Miss));
+        assert!(matches!(load(&mut store, &model, &spec, &dbs, &limits), LoadOutcome::Miss));
         let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn non_utf8_artifact_is_evicted_not_unavailable() {
-        let mut store = Store::open(scratch_root("utf8")).unwrap();
+        let mut store = open(scratch_root("utf8")).unwrap();
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1132,7 +968,7 @@ mod tests {
         let key = store.key_for(&model, &spec, &dbs, &limits);
         let path = store.path_for(&spec.name, key);
         fs::write(&path, [0xff, 0xfe, 0x00, 0x41]).unwrap();
-        match store.load_verified(&model, &spec, &dbs, &limits) {
+        match load(&mut store, &model, &spec, &dbs, &limits) {
             LoadOutcome::Evicted { reason } => assert!(reason.contains("corrupt"), "{reason}"),
             other => panic!("expected eviction, got {other:?}"),
         }
@@ -1143,7 +979,7 @@ mod tests {
 
     #[test]
     fn optimized_artifact_round_trips_and_reverifies() {
-        let mut store = Store::open(scratch_root("opt-roundtrip")).unwrap();
+        let mut store = open(scratch_root("opt-roundtrip")).unwrap();
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1155,9 +991,9 @@ mod tests {
         assert!(report.applied_count() > 0, "fnv1a should optimize:\n{report}");
         let optimized = cf.optimized.clone().expect("optimized body");
         let key = store.key_for(&model, &spec, &dbs, &limits);
-        store.put(key, &cf).unwrap();
-        match store.load_verified(&model, &spec, &dbs, &limits) {
-            LoadOutcome::Hit(loaded) => {
+        store.put(key, &cf, None).unwrap();
+        match load(&mut store, &model, &spec, &dbs, &limits) {
+            LoadOutcome::Hit { cf: loaded, .. } => {
                 assert_eq!(loaded.optimized.as_ref(), Some(&optimized));
                 assert_eq!(loaded.stats, cf.stats);
             }
@@ -1168,7 +1004,7 @@ mod tests {
 
     #[test]
     fn tampered_optimized_body_is_evicted() {
-        let mut store = Store::open(scratch_root("opt-tamper")).unwrap();
+        let mut store = open(scratch_root("opt-tamper")).unwrap();
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1181,8 +1017,8 @@ mod tests {
             .expect("applicable");
         cf.optimized = Some(broken);
         let key = store.key_for(&model, &spec, &dbs, &limits);
-        store.put(key, &cf).unwrap();
-        match store.load_verified(&model, &spec, &dbs, &limits) {
+        store.put(key, &cf, None).unwrap();
+        match load(&mut store, &model, &spec, &dbs, &limits) {
             LoadOutcome::Evicted { reason } => {
                 assert!(reason.contains("optimized body failed re-validation"), "{reason}");
             }
@@ -1194,14 +1030,14 @@ mod tests {
 
     #[test]
     fn flipped_descriptive_byte_is_evicted_by_the_digest() {
-        let mut store = Store::open(scratch_root("digest-tamper")).unwrap();
+        let mut store = open(scratch_root("digest-tamper")).unwrap();
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
         let spec = rupicola_programs::fnv1a::spec();
         let cf = rupicola_programs::fnv1a::compiled().unwrap();
         let key = store.key_for(&model, &spec, &dbs, &limits);
-        let path = store.put(key, &cf).unwrap();
+        let path = store.put(key, &cf, None).unwrap();
         // Flip one character inside a derivation node's `focus` rendering —
         // a field the checker treats as descriptive, so semantic
         // re-validation alone would serve the corrupted witness.
@@ -1210,7 +1046,7 @@ mod tests {
         let mut bytes = text.into_bytes();
         bytes[at] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        match store.load_verified(&model, &spec, &dbs, &limits) {
+        match load(&mut store, &model, &spec, &dbs, &limits) {
             LoadOutcome::Evicted { reason } => {
                 assert!(reason.contains("digest"), "{reason}");
             }
@@ -1222,9 +1058,9 @@ mod tests {
 
     #[test]
     fn pipeline_config_changes_the_key() {
-        let store_full = Store::open(scratch_root("key-full")).unwrap();
+        let store_full = open(scratch_root("key-full")).unwrap();
         let store_none =
-            Store::open(scratch_root("key-none")).unwrap().with_pipeline(PipelineConfig::none());
+            open(scratch_root("key-none")).unwrap().with_pipeline(PipelineConfig::none());
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1240,8 +1076,8 @@ mod tests {
     #[test]
     fn ct_policy_changes_the_key() {
         use rupicola_analysis::SecrecyPolicy;
-        let plain = Store::open(scratch_root("key-ct-plain")).unwrap();
-        let strict = Store::open(scratch_root("key-ct-strict")).unwrap().with_pipeline(
+        let plain = open(scratch_root("key-ct-plain")).unwrap();
+        let strict = open(scratch_root("key-ct-strict")).unwrap().with_pipeline(
             PipelineConfig::full().with_ct_policy(SecrecyPolicy::secrets(["data"])),
         );
         let dbs = standard_dbs();
@@ -1260,7 +1096,7 @@ mod tests {
 
     #[test]
     fn deadline_is_not_part_of_the_key() {
-        let store = Store::open(scratch_root("key-deadline")).unwrap();
+        let store = open(scratch_root("key-deadline")).unwrap();
         let dbs = standard_dbs();
         let model = rupicola_programs::fnv1a::model();
         let spec = rupicola_programs::fnv1a::spec();
@@ -1309,7 +1145,7 @@ mod tests {
         // Every read fails; after the threshold the store degrades and
         // stops touching the disk entirely.
         for _ in 0..5 {
-            match store.load_verified(&model, &spec, &dbs, &limits) {
+            match load(&mut store, &model, &spec, &dbs, &limits) {
                 LoadOutcome::Unavailable { .. } => {}
                 other => panic!("expected unavailable under total outage, got {other:?}"),
             }
@@ -1321,7 +1157,7 @@ mod tests {
         // Degraded puts are skipped, not attempted.
         let cf = rupicola_programs::fnv1a::compiled().unwrap();
         let key = store.key_for(&model, &spec, &dbs, &limits);
-        let err = store.put(key, &cf).unwrap_err();
+        let err = store.put(key, &cf, None).unwrap_err();
         assert!(err.contains("degraded"), "{err}");
         assert_eq!(store.stats().stores, 0);
         let _ = fs::remove_dir_all(&root);
@@ -1330,7 +1166,7 @@ mod tests {
     #[test]
     fn repeated_corruption_quarantines_the_key() {
         let mut store =
-            Store::open(scratch_root("quarantine")).unwrap().with_quarantine_after(3);
+            open(scratch_root("quarantine")).unwrap().with_quarantine_after(3);
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1343,7 +1179,7 @@ mod tests {
             fs::write(&path, format!("{{ corrupt #{i}")).unwrap();
             assert!(
                 matches!(
-                    store.load_verified(&model, &spec, &dbs, &limits),
+                    load(&mut store, &model, &spec, &dbs, &limits),
                     LoadOutcome::Evicted { .. }
                 ),
                 "eviction #{i}"
@@ -1354,14 +1190,14 @@ mod tests {
         // Unavailable without reading, puts are refused — the
         // store/evict/recompile loop is broken.
         fs::write(&path, "{ corrupt again").unwrap();
-        match store.load_verified(&model, &spec, &dbs, &limits) {
+        match load(&mut store, &model, &spec, &dbs, &limits) {
             LoadOutcome::Unavailable { reason } => {
                 assert!(reason.contains("quarantined"), "{reason}");
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
         let cf = rupicola_programs::fnv1a::compiled().unwrap();
-        let err = store.put(key, &cf).unwrap_err();
+        let err = store.put(key, &cf, None).unwrap_err();
         assert!(err.contains("quarantined"), "{err}");
         assert!(!store.degraded(), "quarantine is per-key, not a store-wide outage");
         let _ = fs::remove_dir_all(store.root());
@@ -1379,7 +1215,7 @@ mod tests {
         fs::write(&live, "in flight").unwrap();
         let artifact = root.join("prog-0011223344556677.json");
         fs::write(&artifact, "{}").unwrap();
-        let store = Store::open(&root).unwrap();
+        let store = open(&root).unwrap();
         assert_eq!(store.stats().scavenged, 2);
         assert!(live.exists(), "live writers' temp files are never touched");
         assert!(artifact.exists(), "artifacts are never scavenged");
@@ -1455,12 +1291,12 @@ mod tests {
         let model = rupicola_programs::fnv1a::model();
         let spec = rupicola_programs::fnv1a::spec();
         assert!(matches!(
-            store.load_verified(&model, &spec, &dbs, &limits),
+            load(&mut store, &model, &spec, &dbs, &limits),
             LoadOutcome::Unavailable { .. }
         ));
         let cf = rupicola_programs::fnv1a::compiled().unwrap();
         let key = store.key_for(&model, &spec, &dbs, &limits);
-        assert!(store.put(key, &cf).is_err());
+        assert!(store.put(key, &cf, None).is_err());
         assert!(!root.exists(), "degraded store must not create directories");
     }
 }

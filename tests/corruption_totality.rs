@@ -18,7 +18,7 @@ use rupicola::ext::standard_dbs;
 use rupicola::lang::dsl::*;
 use rupicola::lang::Model;
 use rupicola::sep::ScalarKind;
-use rupicola::service::store::{LoadOutcome, Store};
+use rupicola::service::{FsBackend, LoadOutcome, ShardedStore};
 use std::path::PathBuf;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -55,22 +55,25 @@ fn truncation_at_every_byte_offset_evicts_or_serves_certified() {
     // Quarantine off: this test evicts the same key thousands of times on
     // purpose. Full-strength check config so a surviving Hit is held to
     // the same bar the test re-checks it against.
-    let mut store = Store::open(&root)
-        .unwrap()
-        .with_quarantine_after(0)
-        .with_check_config(CheckConfig::default());
+    let store = ShardedStore::open_with(
+        &root,
+        1,
+        |_| Box::new(FsBackend),
+        |s| s.with_quarantine_after(0).with_check_config(CheckConfig::default()),
+    )
+    .unwrap();
     let key = store.key_for(&model, &spec, &dbs, &limits);
-    let path = store.put(key, &cf).unwrap();
+    let path = store.put(key, &cf, None).unwrap();
     let pristine = std::fs::read(&path).unwrap();
     assert!(pristine.len() > 512, "envelope suspiciously small: {}", pristine.len());
 
     for cut in 0..=pristine.len() {
         std::fs::write(&path, &pristine[..cut]).unwrap();
-        match store.load_verified(&model, &spec, &dbs, &limits) {
+        match store.load_verified(key, &model, &spec, &dbs) {
             LoadOutcome::Evicted { .. } => {
                 assert!(!path.exists(), "offset {cut}: eviction must delete the file");
             }
-            LoadOutcome::Hit(loaded) => {
+            LoadOutcome::Hit { cf: loaded, .. } => {
                 // Only the full-length "truncation" should land here, and
                 // a served artifact must certify and answer this request.
                 assert_eq!(loaded.model, model, "offset {cut}");
@@ -85,7 +88,7 @@ fn truncation_at_every_byte_offset_evicts_or_serves_certified() {
             }
         }
     }
-    assert!(!store.degraded(), "corruption must never flip the store into degraded mode");
+    assert!(!store.any_degraded(), "corruption must never flip the store into degraded mode");
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -96,9 +99,11 @@ fn bit_flips_in_every_header_field_evict() {
     let (model, spec) = small_artifact();
     let cf = rupicola::core::compile(&model, &spec, &dbs).unwrap();
     let root = scratch("header-flip");
-    let mut store = Store::open(&root).unwrap().with_quarantine_after(0);
+    let store =
+        ShardedStore::open_with(&root, 1, |_| Box::new(FsBackend), |s| s.with_quarantine_after(0))
+            .unwrap();
     let key = store.key_for(&model, &spec, &dbs, &limits);
-    let path = store.put(key, &cf).unwrap();
+    let path = store.put(key, &cf, None).unwrap();
     let pristine = std::fs::read(&path).unwrap();
     let text = String::from_utf8(pristine.clone()).unwrap();
 
@@ -130,11 +135,11 @@ fn bit_flips_in_every_header_field_evict() {
                 // parser is entitled to tolerate (e.g. a space becoming a
                 // leading zero) — those must serve a *certified* answer to
                 // *this* request, which is the soundness contract.
-                match store.load_verified(&model, &spec, &dbs, &limits) {
+                match store.load_verified(key, &model, &spec, &dbs) {
                     LoadOutcome::Evicted { .. } => {
                         assert!(!path.exists(), "{field} byte {at} bit {bit}");
                     }
-                    LoadOutcome::Hit(loaded) => {
+                    LoadOutcome::Hit { cf: loaded, .. } => {
                         benign += 1;
                         assert_eq!(loaded.model, model, "{field} byte {at} bit {bit}");
                         assert_eq!(loaded.spec, spec, "{field} byte {at} bit {bit}");

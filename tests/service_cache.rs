@@ -10,7 +10,9 @@ use rupicola::lang::json;
 use rupicola::programs::suite;
 use rupicola::service::fingerprint::fingerprint;
 use rupicola::service::incremental::{compile_suite_cached, Provenance};
-use rupicola::service::store::{LoadOutcome, Store};
+use rupicola::service::{
+    serve_concurrent, FsBackend, LoadOutcome, Server, ShardedStore, TenantTable,
+};
 use rupicola_minicheck::check;
 use std::path::PathBuf;
 
@@ -21,6 +23,16 @@ fn scratch(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The key of an unoptimized, policy-free, machine-code-free request.
+fn plain_key(
+    model: &rupicola::lang::Model,
+    spec: &rupicola::core::fnspec::FnSpec,
+    dbs: &rupicola::core::HintDbs,
+    limits: &EngineLimits,
+) -> rupicola::service::Fingerprint {
+    fingerprint(model, spec, dbs, limits, "none", "public", "none")
 }
 
 /// `deserialize(serialize(cf))` is structurally the identity for every
@@ -83,24 +95,26 @@ fn targeted_corruption_evicts_and_recompiles() {
     let root = scratch("targeted-corruption");
     // This test evicts the same key once per corruption; quarantine (which
     // has its own test) would kick in after the third and refuse the heal.
-    let mut store = Store::open(&root).unwrap().with_quarantine_after(0);
+    let store =
+        ShardedStore::open_with(&root, 1, |_| Box::new(FsBackend), |s| s.with_quarantine_after(0))
+            .unwrap();
     let key = store.key_for(&model, &spec, &dbs, &limits);
-    let path = store.put(key, &cf).unwrap();
+    let path = store.put(key, &cf, None).unwrap();
     let pristine = std::fs::read_to_string(&path).unwrap();
     for (what, corrupt) in corruptions {
         let bad = corrupt(&pristine);
         assert_ne!(bad, pristine, "{what}: corruption was a no-op");
         std::fs::write(&path, bad).unwrap();
-        match store.load_verified(&model, &spec, &dbs, &limits) {
+        match store.load_verified(key, &model, &spec, &dbs) {
             LoadOutcome::Evicted { .. } => {}
             other => panic!("{what}: expected eviction, got {other:?}"),
         }
         assert!(!path.exists(), "{what}: eviction must delete the artifact");
         // Recompile-and-restore: the incremental path heals the store.
         let healed = rupicola::core::compile(&model, &spec, &dbs).unwrap();
-        store.put(key, &healed).unwrap();
-        match store.load_verified(&model, &spec, &dbs, &limits) {
-            LoadOutcome::Hit(loaded) => assert_eq!(loaded.function, cf.function),
+        store.put(key, &healed, None).unwrap();
+        match store.load_verified(key, &model, &spec, &dbs) {
+            LoadOutcome::Hit { cf: loaded, .. } => assert_eq!(loaded.function, cf.function),
             other => panic!("{what}: healed store should hit, got {other:?}"),
         }
         std::fs::write(&path, &pristine).unwrap();
@@ -129,12 +143,15 @@ fn random_bit_flips_never_yield_an_unverified_artifact() {
     // legitimately serve a flip that only vector 11 distinguishes).
     // Quarantine off: 48 flips against one key would trip it long before
     // the property finishes exercising the evict-or-certify contract.
-    let mut store = Store::open(&root)
-        .unwrap()
-        .with_check_config(CheckConfig::default())
-        .with_quarantine_after(0);
+    let store = ShardedStore::open_with(
+        &root,
+        1,
+        |_| Box::new(FsBackend),
+        |s| s.with_check_config(CheckConfig::default()).with_quarantine_after(0),
+    )
+    .unwrap();
     let key = store.key_for(&model, &spec, &dbs, &limits);
-    let path = store.put(key, &cf).unwrap();
+    let path = store.put(key, &cf, None).unwrap();
     let pristine = std::fs::read(&path).unwrap();
 
     check("bit flips are evicted or re-verified", 48, |rng| {
@@ -143,13 +160,13 @@ fn random_bit_flips_never_yield_an_unverified_artifact() {
         let bit = 1u8 << rng.below(8);
         bytes[at] ^= bit;
         std::fs::write(&path, &bytes).unwrap();
-        match store.load_verified(&model, &spec, &dbs, &limits) {
+        match store.load_verified(key, &model, &spec, &dbs) {
             LoadOutcome::Evicted { .. } => {
                 // The poisoned file is gone; a fresh put heals the slot.
                 assert!(!path.exists());
-                store.put(key, &cf).unwrap();
+                store.put(key, &cf, None).unwrap();
             }
-            LoadOutcome::Hit(loaded) => {
+            LoadOutcome::Hit { cf: loaded, .. } => {
                 // Flip was immaterial (e.g. inside a focus label): the
                 // served artifact still passed the checker on this load,
                 // and must be for the requested inputs.
@@ -182,7 +199,7 @@ fn fingerprints_stable_across_processes() {
             format!(
                 "{}={}",
                 e.info.name,
-                fingerprint(&(e.model)(), &(e.spec)(), &dbs, &limits).as_hex()
+                plain_key(&(e.model)(), &(e.spec)(), &dbs, &limits).as_hex()
             )
         })
         .collect();
@@ -218,15 +235,15 @@ fn fingerprints_track_hint_db_identity() {
     let entry = suite().into_iter().find(|e| e.info.name == "m3s").unwrap();
     let model = (entry.model)();
     let spec = (entry.spec)();
-    let base = fingerprint(&model, &spec, &standard_dbs(), &limits);
+    let base = plain_key(&model, &spec, &standard_dbs(), &limits);
 
     // Identical rebuild: same key.
-    assert_eq!(base, fingerprint(&model, &spec, &standard_dbs(), &limits));
+    assert_eq!(base, plain_key(&model, &spec, &standard_dbs(), &limits));
 
     // One more lemma (same behavior class, appended): different key.
     let mut extra = standard_dbs();
     extra.register_expr(rupicola::ext::arith::ExprLit);
-    assert_ne!(base, fingerprint(&model, &spec, &extra, &limits));
+    assert_ne!(base, plain_key(&model, &spec, &extra, &limits));
 
     // Same lemma set, different order: different key. First-match
     // dispatch makes order semantically relevant, so it must be part of
@@ -234,19 +251,19 @@ fn fingerprints_track_hint_db_identity() {
     let mut reordered = standard_dbs();
     reordered.register_expr_front(rupicola::ext::arith::ExprLit);
     assert_ne!(
-        fingerprint(&model, &spec, &extra, &limits),
-        fingerprint(&model, &spec, &reordered, &limits)
+        plain_key(&model, &spec, &extra, &limits),
+        plain_key(&model, &spec, &reordered, &limits)
     );
 
     // Dispatch mode: different key.
     let mut linear = standard_dbs();
     linear.set_dispatch_mode(DispatchMode::Linear);
-    assert_ne!(base, fingerprint(&model, &spec, &linear, &limits));
+    assert_ne!(base, plain_key(&model, &spec, &linear, &limits));
 
     // Solver memo toggle: different key.
     let mut memoless = standard_dbs();
     memoless.set_solver_memo(false);
-    assert_ne!(base, fingerprint(&model, &spec, &memoless, &limits));
+    assert_ne!(base, plain_key(&model, &spec, &memoless, &limits));
 }
 
 /// The acceptance-criterion test: after a cold pass, a warm suite pass
@@ -255,12 +272,12 @@ fn fingerprints_track_hint_db_identity() {
 #[test]
 fn warm_suite_pass_performs_zero_derivations() {
     let root = scratch("warm-zero");
-    let mut store = Store::open(&root).unwrap();
+    let store = ShardedStore::open(&root, 1).unwrap();
     let dbs = standard_dbs();
 
-    let cold = compile_suite_cached(&mut store, &dbs);
+    let cold = compile_suite_cached(&store, &dbs);
     assert!(cold.iter().all(|r| r.provenance == Provenance::Compiled));
-    let warm = compile_suite_cached(&mut store, &dbs);
+    let warm = compile_suite_cached(&store, &dbs);
     assert_eq!(warm.len(), 7);
     // Every program came from the store — the engine compiled nothing.
     assert!(
@@ -280,19 +297,20 @@ fn warm_suite_pass_performs_zero_derivations() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Protocol smoke over the in-memory server: a mixed batch against a warm
-/// store reports cached results and coherent counters.
+/// Protocol smoke through the server: after the incremental driver warms
+/// the store, a mixed batch reports cached results and coherent counters.
 #[test]
 fn batch_protocol_end_to_end() {
     let root = scratch("protocol");
-    let mut store = Store::open(&root).unwrap();
+    let store = ShardedStore::open(&root, 1).unwrap();
     let dbs = standard_dbs();
     // Warm the store.
-    compile_suite_cached(&mut store, &dbs);
+    compile_suite_cached(&store, &dbs);
 
+    let server = Server::new(store, TenantTable::default(), 1);
     let input = "{\"op\":\"compile\",\"program\":\"crc32\"}\n{\"op\":\"suite\"}\n{\"op\":\"stats\"}\n";
     let mut out = Vec::new();
-    let n = rupicola::service::serve(input.as_bytes(), &mut out, &mut store, &dbs).unwrap();
+    let n = serve_concurrent(input.as_bytes(), &mut out, &server, &dbs).unwrap();
     assert_eq!(n, 3);
     let lines: Vec<json::Json> = String::from_utf8(out)
         .unwrap()

@@ -1,15 +1,14 @@
 //! Integration battery for RISC-V machine artifacts in the service store:
 //! a validated [`RvArtifact`] rides the envelope under the rv-pipeline
 //! fingerprint, is differentially re-validated on every load, round-trips
-//! through both the plain and the sharded store, and is evicted the
-//! moment its machine code is corrupted.
+//! through both the one-shard and the eight-shard store, and is evicted
+//! the moment its machine code is corrupted.
 
 use rupicola::core::check::CheckConfig;
 use rupicola::core::EngineLimits;
 use rupicola::ext::standard_dbs;
 use rupicola::programs::suite;
-use rupicola::service::store::{LoadOutcome, Store};
-use rupicola::service::ShardedStore;
+use rupicola::service::{FsBackend, LoadOutcome, ShardedStore};
 use rupicola::{lower_validated, RvPipelineConfig};
 use std::fs;
 use std::path::PathBuf;
@@ -19,6 +18,14 @@ fn scratch(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("rupicola-rvstore-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+/// A store of `nshards` shards keyed under the rv `pipeline`.
+fn rv_store(root: &PathBuf, nshards: usize, pipeline: &RvPipelineConfig) -> ShardedStore {
+    ShardedStore::open_with(root, nshards, |_| Box::new(FsBackend), |s| {
+        s.with_rv_pipeline(pipeline.clone())
+    })
+    .unwrap()
 }
 
 fn upstr() -> (rupicola::lang::Model, rupicola::core::fnspec::FnSpec, rupicola::core::CompiledFunction)
@@ -36,30 +43,31 @@ fn rv_artifact_round_trips_through_the_store() {
     let (model, spec, cf) = upstr();
     let (art, _) = lower_validated(&cf, &pipeline, &CheckConfig::default()).unwrap();
 
-    let mut store = Store::open(&root).unwrap().with_rv_pipeline(pipeline.clone());
+    let store = rv_store(&root, 1, &pipeline);
+    assert_eq!(store.rv_pipeline().as_ref(), Some(&pipeline));
     let key = store.key_for(&model, &spec, &dbs, &limits);
-    // The rv pipeline is part of the key: a plain store disagrees.
-    let mut plain = Store::open(scratch("plainkey")).unwrap();
+    // The rv pipeline is part of the key: a store without one disagrees.
+    let plain_root = scratch("plainkey");
+    let plain = ShardedStore::open(&plain_root, 1).unwrap();
     assert_ne!(key, plain.key_for(&model, &spec, &dbs, &limits));
 
     // An rv-keyed store refuses envelopes without the machine artifact —
     // a hit would otherwise silently downgrade the backend.
-    assert!(store.put(key, &cf).is_err(), "rv store must demand the machine artifact");
-    // And a plain store refuses to carry one it cannot re-validate.
-    assert!(plain.put_with_rv(key, &cf, Some(&art)).is_err());
+    assert!(store.put(key, &cf, None).is_err(), "rv store must demand the machine artifact");
+    // And a store without an rv pipeline refuses to carry one it cannot
+    // re-validate.
+    assert!(plain.put(key, &cf, Some(&art)).is_err());
 
-    store.put_with_rv(key, &cf, Some(&art)).unwrap();
-    let (outcome, loaded_rv) = store.load_verified_rv(&model, &spec, &dbs, &limits);
-    match outcome {
-        LoadOutcome::Hit(loaded) => assert_eq!(loaded.function, cf.function),
+    store.put(key, &cf, Some(&art)).unwrap();
+    match store.load_verified(key, &model, &spec, &dbs) {
+        LoadOutcome::Hit { cf: loaded, rv } => {
+            assert_eq!(loaded.function, cf.function);
+            assert_eq!(rv.as_deref(), Some(&art), "machine artifact must round-trip bit-for-bit");
+        }
         other => panic!("expected hit, got {other:?}"),
     }
-    assert_eq!(
-        loaded_rv.as_deref(),
-        Some(&art),
-        "machine artifact must round-trip bit-for-bit"
-    );
     let _ = fs::remove_dir_all(&root);
+    let _ = fs::remove_dir_all(&plain_root);
 }
 
 #[test]
@@ -89,21 +97,20 @@ fn corrupted_rv_artifact_is_evicted() {
     ];
     for (tag, edit) in corruptions {
         let root = scratch(&format!("evict-{}", tag.replace(' ', "-")));
-        let mut store = Store::open(&root).unwrap().with_rv_pipeline(pipeline.clone());
+        let store = rv_store(&root, 1, &pipeline);
         let key = store.key_for(&model, &spec, &dbs, &limits);
-        let path = store.put_with_rv(key, &cf, Some(&art)).unwrap();
+        let path = store.put(key, &cf, Some(&art)).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         let corrupted = edit(&text);
         assert_ne!(text, corrupted, "{tag}: the edit must change the envelope");
         fs::write(&path, corrupted).unwrap();
-        let (outcome, loaded_rv) = store.load_verified_rv(&model, &spec, &dbs, &limits);
-        match outcome {
+        // Eviction carries no artifact of either kind.
+        match store.load_verified(key, &model, &spec, &dbs) {
             LoadOutcome::Evicted { reason } => {
                 assert!(!path.exists(), "{tag}: evicted artifact must be deleted ({reason})");
             }
             other => panic!("{tag}: expected eviction, got {other:?}"),
         }
-        assert!(loaded_rv.is_none(), "{tag}: no machine artifact may survive eviction");
         let _ = fs::remove_dir_all(&root);
     }
 }
@@ -117,26 +124,26 @@ fn rv_artifact_round_trips_through_the_sharded_store() {
     let (model, spec, cf) = upstr();
     let (art, _) = lower_validated(&cf, &pipeline, &CheckConfig::default()).unwrap();
 
-    let sharded = ShardedStore::open(&root, 8).unwrap().with_rv_pipeline(pipeline.clone());
+    let sharded = rv_store(&root, 8, &pipeline);
     assert_eq!(sharded.rv_pipeline().as_ref(), Some(&pipeline));
     let key = sharded.key_for(&model, &spec, &dbs, &limits);
-    let path = sharded.put_with_rv(key, &cf, Some(&art)).unwrap();
-    let (outcome, loaded_rv) = sharded.load_verified_rv(&model, &spec, &dbs, &limits);
-    match outcome {
-        LoadOutcome::Hit(loaded) => assert_eq!(loaded.function, cf.function),
+    let path = sharded.put(key, &cf, Some(&art)).unwrap();
+    match sharded.load_verified(key, &model, &spec, &dbs) {
+        LoadOutcome::Hit { cf: loaded, rv } => {
+            assert_eq!(loaded.function, cf.function);
+            assert_eq!(rv.as_deref(), Some(&art));
+        }
         other => panic!("expected hit, got {other:?}"),
     }
-    assert_eq!(loaded_rv.as_deref(), Some(&art));
 
     // Corrupt the shard's file on disk: the routed verified load evicts.
     let text = fs::read_to_string(&path).unwrap();
     fs::write(&path, text.replacen("lbu", "lhu", 1)).unwrap();
-    let (outcome, loaded_rv) = sharded.load_verified_rv(&model, &spec, &dbs, &limits);
+    let outcome = sharded.load_verified(key, &model, &spec, &dbs);
     assert!(
         matches!(outcome, LoadOutcome::Evicted { .. }),
         "expected eviction, got {outcome:?}"
     );
-    assert!(loaded_rv.is_none());
     assert!(!path.exists(), "evicted artifact must be deleted");
     let _ = fs::remove_dir_all(&root);
 }

@@ -1,16 +1,15 @@
 //! Property battery for the sharded store's routing function
 //! (DESIGN.md §14): fingerprint→shard assignment is a pure, stable,
 //! uniform function of the key prefix, and the 1-shard configuration is
-//! byte-equivalent to the plain single [`Store`] — the regression anchor
-//! that keeps every pre-sharding artifact, tool and test
-//! (`tests/service_cache.rs`) valid against a sharded deployment.
+//! byte-equivalent to the plain, flat single-directory store layout — the
+//! regression anchor that keeps every pre-sharding artifact valid against
+//! a sharded deployment.
 
 use rupicola::core::EngineLimits;
 use rupicola::ext::standard_dbs;
 use rupicola::programs::suite;
 use rupicola::service::fingerprint::Fingerprint;
-use rupicola::service::store::{LoadOutcome, Store};
-use rupicola::service::{shard_of_key, shard_root, ShardedStore};
+use rupicola::service::{shard_of_key, shard_root, LoadOutcome, ShardedStore};
 use rupicola_minicheck::{check, Rng};
 use std::path::PathBuf;
 
@@ -56,7 +55,7 @@ fn routing_survives_store_reopen() {
             .map(|e| {
                 let cf = (e.compiled)().unwrap();
                 let key = store.key_for(&(e.model)(), &(e.spec)(), &dbs, &limits);
-                let path = store.put(key, &cf).unwrap();
+                let path = store.put(key, &cf, None).unwrap();
                 (key, path)
             })
             .collect()
@@ -71,8 +70,8 @@ fn routing_survives_store_reopen() {
         );
         let expected_dir = shard_root(&root, reopened.shard_of(*key), 8);
         assert_eq!(path.parent().unwrap(), expected_dir, "{}", entry.info.name);
-        match reopened.load_verified(&(entry.model)(), &(entry.spec)(), &dbs, &limits) {
-            LoadOutcome::Hit(_) => {}
+        match reopened.load_verified(*key, &(entry.model)(), &(entry.spec)(), &dbs) {
+            LoadOutcome::Hit { .. } => {}
             other => panic!("{}: expected hit after reopen, got {other:?}", entry.info.name),
         }
     }
@@ -104,53 +103,58 @@ fn routing_is_uniform_within_2x_over_1k_random_keys() {
 }
 
 /// The 1-shard configuration is **byte-equivalent** to a plain single
-/// `Store`: same artifact path, same file bytes, mutually readable. This
-/// is the regression anchor for all pre-sharding behavior.
+/// store: every artifact lives flat at `<root>/<program>-<key>.json`, with
+/// the same bytes the 8-shard store files in its shard directory (the
+/// envelope never depends on the shard count), and a flat file carried
+/// over by hand — as from a pre-sharding store — is served by a 1-shard
+/// store opened on it. This is the regression anchor for all pre-sharding
+/// behavior.
 #[test]
 fn one_shard_config_is_byte_equivalent_to_plain_store() {
     let dbs = standard_dbs();
     let limits = EngineLimits::default();
-    let sharded_root = scratch("flat-sharded");
-    let plain_root = scratch("flat-plain");
-    let sharded = ShardedStore::open(&sharded_root, 1).unwrap();
-    let mut plain = Store::open(&plain_root).unwrap();
+    let flat_root = scratch("flat-one");
+    let striped_root = scratch("flat-eight");
+    let carried_root = scratch("flat-carried");
+    std::fs::create_dir_all(&carried_root).unwrap();
+    let flat = ShardedStore::open(&flat_root, 1).unwrap();
+    let striped = ShardedStore::open(&striped_root, 8).unwrap();
     for entry in suite() {
         let model = (entry.model)();
         let spec = (entry.spec)();
         let cf = (entry.compiled)().unwrap();
-        let key = sharded.key_for(&model, &spec, &dbs, &limits);
-        assert_eq!(key, plain.key_for(&model, &spec, &dbs, &limits), "{}", entry.info.name);
-        let sharded_path = sharded.put(key, &cf).unwrap();
-        let plain_path = plain.put(key, &cf).unwrap();
-        // Identical layout: same file name relative to the root…
+        let key = flat.key_for(&model, &spec, &dbs, &limits);
+        assert_eq!(key, striped.key_for(&model, &spec, &dbs, &limits), "{}", entry.info.name);
+        let flat_path = flat.put(key, &cf, None).unwrap();
+        let striped_path = striped.put(key, &cf, None).unwrap();
+        // Flat layout: the artifact sits directly under the root…
+        let name = format!("{}-{key}.json", entry.info.name);
+        assert_eq!(flat_path, flat_root.join(&name), "{}", entry.info.name);
+        // …with the same bytes the striped store wrote.
+        let bytes = std::fs::read(&flat_path).unwrap();
         assert_eq!(
-            sharded_path.strip_prefix(&sharded_root).unwrap(),
-            plain_path.strip_prefix(&plain_root).unwrap(),
-            "{}: 1-shard layout must match the plain store's",
+            bytes,
+            std::fs::read(&striped_path).unwrap(),
+            "{}: 1-shard artifact bytes must match the 8-shard store's",
             entry.info.name
         );
-        // …and identical bytes on disk.
-        assert_eq!(
-            std::fs::read(&sharded_path).unwrap(),
-            std::fs::read(&plain_path).unwrap(),
-            "{}: 1-shard artifact bytes must match the plain store's",
-            entry.info.name
-        );
-        // Cross-readability: the plain store serves the sharded artifact.
-        let mut cross = Store::open(&sharded_root).unwrap();
-        match cross.load_verified(&model, &spec, &dbs, &limits) {
-            LoadOutcome::Hit(loaded) => assert_eq!(loaded.function, cf.function),
-            other => panic!("{}: plain store must read 1-shard layout: {other:?}", entry.info.name),
+        // A carried-over flat file is served by a 1-shard store.
+        std::fs::write(carried_root.join(&name), &bytes).unwrap();
+        let carried = ShardedStore::open(&carried_root, 1).unwrap();
+        match carried.load_verified(key, &model, &spec, &dbs) {
+            LoadOutcome::Hit { cf: loaded, .. } => assert_eq!(loaded.function, cf.function),
+            other => panic!("{}: flat artifact must be served: {other:?}", entry.info.name),
         }
     }
     // No shard directories were created in the 1-shard layout.
     assert!(
-        !std::fs::read_dir(&sharded_root)
+        !std::fs::read_dir(&flat_root)
             .unwrap()
             .filter_map(Result::ok)
             .any(|e| e.file_name().to_string_lossy().starts_with("shard-")),
         "1-shard config must not create shard directories"
     );
-    let _ = std::fs::remove_dir_all(&sharded_root);
-    let _ = std::fs::remove_dir_all(&plain_root);
+    for root in [&flat_root, &striped_root, &carried_root] {
+        let _ = std::fs::remove_dir_all(root);
+    }
 }
