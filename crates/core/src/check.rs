@@ -19,14 +19,23 @@
 //!    interpreter's loop hook: the checker recomputes the closed-form
 //!    partial-execution term for the current iteration count and compares
 //!    it against actual locals and memory.
+//!
+//! What the differential derives from the certificate alone — vectors,
+//! precondition verdicts, concretized inputs, the model's results — is
+//! computed once per certificate and kept in its [`ValidationContext`],
+//! which re-checks on every use that it was derived from exactly the
+//! certificate and configuration at hand.
 
 use crate::engine::CompiledFunction;
-use crate::fnspec::{concretize, ArgSpec, FnSpec, RegionLayout, RetSpec, TraceSpec};
+use crate::fnspec::{
+    concretize, ArgSpec, ConcreteCall, FnSpec, RegionLayout, RetSpec, TraceSpec,
+};
 use crate::goal::{Hyp, MonadCtx};
 use crate::invariant::{LoopInvariant, LoopInvariantKind};
-use rupicola_bedrock::interp::Locals;
+use rupicola_bedrock::interp::{Locals, NoExternals};
 use rupicola_bedrock::{
-    BExpr, ExecState, ExternalHandler, Interpreter, LoopHook, Memory, Program, TraceEvent,
+    BExpr, BFunction, ExecState, ExternalHandler, Interpreter, LoopHook, Memory, Program,
+    TraceEvent,
 };
 use rupicola_lang::eval::{eval, eval_model, Env, Oracle, World};
 use rupicola_lang::{
@@ -35,6 +44,7 @@ use rupicola_lang::{
 use rupicola_sep::ScalarKind;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Configuration of a checking run.
 #[derive(Debug, Clone)]
@@ -269,10 +279,10 @@ pub fn check_with(
     // Layer 2 + 3: differential execution with invariant hooks.
     let uses_nondet = matches!(cf.spec.monad, MonadCtx::Monadic(MonadKind::Nondet))
         || function_has_stackalloc(&cf.function.body);
-    let poisons: &[u8] = if uses_nondet { &[0xAA, 0x55] } else { &[0xAA] };
+    let poisons = if uses_nondet { &POISONS[..] } else { &POISONS[..1] };
     report.poison_pair = poisons.len() == 2;
 
-    let vectors = generate_vectors(&cf.spec, &cf.model, config);
+    let inputs = cert_inputs(cf, config);
     let mut invariants = Vec::new();
     cf.derivation.root.walk(&mut |n| {
         if let Some(inv) = &n.invariant {
@@ -286,39 +296,38 @@ pub fn check_with(
         program.insert(callee.clone());
     }
     let interp = Interpreter::new(&program);
+    let input_words = input_words(config.seed);
 
     let mut ran = 0;
-    for vector in &vectors {
-        let vector_desc = describe_vector(&cf.model.params, vector);
-        if !hints_hold(&cf.spec, &cf.model, vector, config) {
+    for (i, case) in inputs.cases.iter().enumerate() {
+        let Some(case) = case else {
+            // Outside the precondition (a hint is false on this vector).
             report.vectors_skipped += 1;
             continue;
-        }
+        };
+        let vector = &inputs.vectors[i];
+        let vector_desc = &case.desc;
         let mut this_ran = false;
-        for &poison in poisons {
+        for (p, &poison) in poisons.iter().enumerate() {
             // Source run.
-            let input_words: Vec<u64> = (0..64).map(|i| splitmix(config.seed ^ (i + 1))).collect();
-            let mut world = World::with_input(input_words.clone())
-                .with_oracle(PoisonOracle { byte: poison });
-            world.externs = config.externs.clone();
-            let src = eval_model(&cf.model, vector, &mut world);
-            let Ok(src_value) = src else {
+            let Some(src) = &inputs.model_runs(p)[i] else {
                 // Precondition excluded this input.
                 report.vectors_skipped += 1;
                 break;
             };
             this_ran = true;
+            let call = case.call.as_ref().map_err(|e| CheckError::Mismatch {
+                vector: vector_desc.clone(),
+                detail: e.clone(),
+            })?;
 
             // Target run, with bounded fuel escalation: a run that
             // exhausts the current fuel is re-executed from scratch with
             // doubled fuel, distinguishing "needs more fuel" (retried
             // transparently) from "diverges" (still starving at the cap).
             let mut fuel = config.fuel.clamp(1, config.max_fuel);
-            let (rets, state, regions, hook_checks) = loop {
-                let call = concretize(&cf.spec, &cf.model.params, vector).map_err(|e| {
-                    CheckError::Mismatch { vector: vector_desc.clone(), detail: e }
-                })?;
-                let mut state = ExecState::new(call.mem).with_stack_poison(poison);
+            let (rets, state, hook_checks) = loop {
+                let mut state = ExecState::new(call.mem.clone()).with_stack_poison(poison);
                 let mut ext = CheckerExternals {
                     input: input_words.iter().copied().collect(),
                     externs: config.externs.clone(),
@@ -355,7 +364,7 @@ pub fn check_with(
                             fuel_cap: config.max_fuel,
                         });
                     }
-                    other => break (other, state, call.regions, hook.checks),
+                    other => break (other, state, hook.checks),
                 }
             };
             report.invariant_checks += hook_checks;
@@ -370,23 +379,24 @@ pub fn check_with(
                 },
             })?;
 
-            compare_outputs(cf, &src_value, &rets, &state, &regions, vector, &vector_desc)?;
-            compare_traces(&cf.spec, &world, &state, &vector_desc)?;
+            compare_outputs(cf, &src.value, &rets, &state, &call.regions, vector, vector_desc)?;
+            compare_traces(&cf.spec, src, &state, vector_desc)?;
         }
         if this_ran {
             ran += 1;
         }
     }
     report.vectors_run = ran;
-    if ran == 0 || ran * 4 < vectors.len() {
-        return Err(CheckError::InsufficientCoverage { ran, attempted: vectors.len() });
+    let attempted = inputs.vectors.len();
+    if ran == 0 || ran * 4 < attempted {
+        return Err(CheckError::InsufficientCoverage { ran, attempted });
     }
     Ok(report)
 }
 
 /// One concretized differential-test input: the same machine state the
 /// checker's layer-3 differential would start the compiled function in.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DifferentialInput {
     /// Argument words, in Bedrock2 argument order.
     pub args: Vec<u64>,
@@ -402,22 +412,296 @@ pub struct DifferentialInput {
 /// these to differential-test two Bedrock2 bodies on exactly the inputs
 /// the certificate was checked on.
 pub fn differential_inputs(cf: &CompiledFunction, config: &CheckConfig) -> Vec<DifferentialInput> {
-    let vectors = generate_vectors(&cf.spec, &cf.model, config);
-    let mut out = Vec::new();
-    for vector in &vectors {
-        if !hints_hold(&cf.spec, &cf.model, vector, config) {
-            continue;
-        }
-        let Ok(call) = concretize(&cf.spec, &cf.model.params, vector) else {
-            continue;
-        };
-        out.push(DifferentialInput {
-            args: call.args,
-            mem: call.mem,
-            desc: describe_vector(&cf.model.params, vector),
-        });
+    cert_inputs(cf, config).inputs.clone()
+}
+
+/// The two stack/oracle poisons of the nondeterminism discipline; programs
+/// that consume no nondeterminism run under the first only.
+const POISONS: [u8; 2] = [0xAA, 0x55];
+
+/// The `io_read` input stream every source and target run consumes.
+fn input_words(seed: u64) -> Vec<u64> {
+    (0..64).map(|i| splitmix(seed ^ (i + 1))).collect()
+}
+
+/// Every update under these locks is one assignment or push, so the data
+/// stays valid even if a holder panicked.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The per-certificate validation context: what the validation layers
+/// derive from a certificate alone, computed on first use and shared by
+/// every later validation of the same certificate.
+///
+/// It lives in [`CompiledFunction::validation`], so clones of a
+/// `CompiledFunction` — candidate bodies built with `..cf.clone()`
+/// included — share it, and the route's check → opt → RISC-V sequence
+/// (or the store's verify-on-load ladder) evaluates the model once. It
+/// holds the test vectors, the precondition verdicts, the concretized
+/// [`DifferentialInput`]s, the model's result on every (vector, poison)
+/// pair, and the certified body's reference run on every input
+/// ([`reference`]).
+///
+/// Nothing in it is trusted. Every read first checks that the context was
+/// derived from exactly the model, spec and [`CheckConfig`] fields of the
+/// call at hand (and, for reference runs, from exactly its certified body,
+/// linked callees and fuel ceiling); on any mismatch it is recomputed,
+/// never reused. A config with extern operations bypasses it entirely.
+/// It is never serialized (a decoded artifact starts empty), it is ignored
+/// by `CompiledFunction` equality, and it is never shared between two
+/// `CompiledFunction`s that were not cloned from one another.
+///
+/// [`CompiledFunction::validation`]: crate::CompiledFunction::validation
+#[derive(Clone, Default)]
+pub struct ValidationContext {
+    slot: Arc<Mutex<Option<Arc<CertInputs>>>>,
+}
+
+impl ValidationContext {
+    /// Whether nothing has been derived yet.
+    pub fn is_empty(&self) -> bool {
+        lock(&self.slot).is_none()
     }
-    out
+}
+
+/// Derived data, not part of a certificate's identity.
+impl PartialEq for ValidationContext {
+    fn eq(&self, _: &ValidationContext) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for ValidationContext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = if self.is_empty() { "empty" } else { "filled" };
+        write!(f, "ValidationContext({state})")
+    }
+}
+
+/// One vector inside the precondition.
+struct Case {
+    desc: String,
+    call: Result<ConcreteCall, String>,
+}
+
+/// The model's result on one (vector, poison) pair.
+struct ModelRun {
+    value: Value,
+    writer: Vec<u64>,
+    events: Vec<Event>,
+}
+
+/// Everything derived from (model, spec, vectors, seed, externs).
+struct CertInputs {
+    model: Model,
+    spec: FnSpec,
+    vector_count: usize,
+    seed: u64,
+    externs: ExternRegistry,
+    vectors: Vec<Vec<Value>>,
+    /// Per vector: `None` when a hint (precondition) is false on it.
+    cases: Vec<Option<Case>>,
+    /// Per poison, per vector: the model's result, or `None` when the
+    /// vector is excluded or the model is undefined on it.
+    model_runs: [OnceLock<Vec<Option<ModelRun>>>; 2],
+    inputs: Vec<DifferentialInput>,
+    reference: Mutex<Option<Arc<BodyRuns>>>,
+}
+
+impl CertInputs {
+    fn build(cf: &CompiledFunction, config: &CheckConfig) -> CertInputs {
+        let vectors = generate_vectors(&cf.spec, &cf.model, config);
+        let cases: Vec<Option<Case>> = vectors
+            .iter()
+            .map(|vector| {
+                hints_hold(&cf.spec, &cf.model, vector, config).then(|| Case {
+                    desc: describe_vector(&cf.model.params, vector),
+                    call: concretize(&cf.spec, &cf.model.params, vector),
+                })
+            })
+            .collect();
+        let inputs = cases
+            .iter()
+            .flatten()
+            .filter_map(|case| {
+                let call = case.call.as_ref().ok()?;
+                Some(DifferentialInput {
+                    args: call.args.clone(),
+                    mem: call.mem.clone(),
+                    desc: case.desc.clone(),
+                })
+            })
+            .collect();
+        CertInputs {
+            model: cf.model.clone(),
+            spec: cf.spec.clone(),
+            vector_count: config.vectors,
+            seed: config.seed,
+            externs: config.externs.clone(),
+            vectors,
+            cases,
+            model_runs: [OnceLock::new(), OnceLock::new()],
+            inputs,
+            reference: Mutex::new(None),
+        }
+    }
+
+    fn derived_from(&self, cf: &CompiledFunction, config: &CheckConfig) -> bool {
+        self.vector_count == config.vectors
+            && self.seed == config.seed
+            && self.externs.is_empty()
+            && config.externs.is_empty()
+            && self.spec == cf.spec
+            && self.model == cf.model
+    }
+
+    /// The model's results under poison `POISONS[p]`. Under the second
+    /// poison only vectors the first one ran are evaluated, as the
+    /// checker never looks further.
+    fn model_runs(&self, p: usize) -> &[Option<ModelRun>] {
+        self.model_runs[p].get_or_init(|| {
+            (0..self.vectors.len())
+                .map(|i| {
+                    if self.cases[i].is_none() || (p > 0 && self.model_runs(0)[i].is_none()) {
+                        return None;
+                    }
+                    let mut world = World::with_input(input_words(self.seed))
+                        .with_oracle(PoisonOracle { byte: POISONS[p] });
+                    world.externs = self.externs.clone();
+                    let value = eval_model(&self.model, &self.vectors[i], &mut world).ok()?;
+                    Some(ModelRun { value, writer: world.writer, events: world.events })
+                })
+                .collect()
+        })
+    }
+}
+
+/// The context's model-side half for `cf` under `config`: reused when it
+/// was derived from exactly these inputs, rebuilt (and re-filed) otherwise.
+fn cert_inputs(cf: &CompiledFunction, config: &CheckConfig) -> Arc<CertInputs> {
+    if !config.externs.is_empty() {
+        return Arc::new(CertInputs::build(cf, config));
+    }
+    if let Some(ctx) = lock(&cf.validation.slot).as_ref() {
+        if ctx.derived_from(cf, config) {
+            return Arc::clone(ctx);
+        }
+    }
+    let ctx = Arc::new(CertInputs::build(cf, config));
+    *lock(&cf.validation.slot) = Some(Arc::clone(&ctx));
+    ctx
+}
+
+/// The certified body's run on one [`DifferentialInput`] (no externals,
+/// [`CheckConfig::max_fuel`]).
+#[derive(Debug)]
+pub struct ReferenceRun {
+    /// Return words and final locals, or the rendered fault.
+    pub outcome: Result<(Vec<u64>, Locals), String>,
+    /// The final heap.
+    pub mem: Memory,
+    /// The final event trace.
+    pub trace: Vec<TraceEvent>,
+}
+
+/// Everything derived from the certified body on top of [`CertInputs`].
+struct BodyRuns {
+    function: BFunction,
+    linked: Vec<BFunction>,
+    max_fuel: u64,
+    runs: Vec<ReferenceRun>,
+    memo: Mutex<Vec<(String, bool)>>,
+}
+
+impl BodyRuns {
+    fn build(
+        cf: &CompiledFunction,
+        config: &CheckConfig,
+        inputs: &[DifferentialInput],
+    ) -> BodyRuns {
+        let mut program = Program::new();
+        program.insert(cf.function.clone());
+        for callee in &cf.linked {
+            program.insert(callee.clone());
+        }
+        let interp = Interpreter::new(&program);
+        let runs = inputs
+            .iter()
+            .map(|input| {
+                let mut st = ExecState::new(input.mem.clone());
+                let outcome = interp
+                    .call_with_locals(
+                        &cf.function.name,
+                        &input.args,
+                        &mut st,
+                        &mut NoExternals,
+                        config.max_fuel,
+                    )
+                    .map_err(|e| e.to_string());
+                ReferenceRun { outcome, mem: st.mem, trace: st.trace }
+            })
+            .collect();
+        BodyRuns {
+            function: cf.function.clone(),
+            linked: cf.linked.clone(),
+            max_fuel: config.max_fuel,
+            runs,
+            memo: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn derived_from(&self, cf: &CompiledFunction, config: &CheckConfig) -> bool {
+        self.max_fuel == config.max_fuel && self.function == cf.function && self.linked == cf.linked
+    }
+}
+
+/// The differential inputs of a certificate paired with the certified
+/// body's run on each: the fixed side of every body-vs-candidate
+/// differential (opt layer 3, every RISC-V stage).
+pub struct Reference {
+    inputs: Arc<CertInputs>,
+    body: Arc<BodyRuns>,
+}
+
+impl Reference {
+    /// The inputs, with the certified body's run on each.
+    pub fn cases(&self) -> impl Iterator<Item = (&DifferentialInput, &ReferenceRun)> {
+        self.inputs.inputs.iter().zip(&self.body.runs)
+    }
+
+    /// Whether no input concretized.
+    pub fn is_empty(&self) -> bool {
+        self.inputs.inputs.is_empty()
+    }
+
+    /// A verdict about the certified body, computed once per `key`. The
+    /// key must name everything besides the certified body and spec that
+    /// `compute` reads (the opt validator keys its constant-time verdict
+    /// on the secrecy policy).
+    pub fn memo_flag(&self, key: &str, compute: impl FnOnce() -> bool) -> bool {
+        if let Some((_, v)) = lock(&self.body.memo).iter().find(|(k, _)| k == key) {
+            return *v;
+        }
+        let v = compute();
+        lock(&self.body.memo).push((key.to_string(), v));
+        v
+    }
+}
+
+/// The reference side of `cf`'s differentials under `config`, from its
+/// validation context when that was derived from exactly `cf`'s model,
+/// spec, certified body, linked callees and `config`'s fields, and
+/// recomputed (and re-filed) otherwise.
+pub fn reference(cf: &CompiledFunction, config: &CheckConfig) -> Reference {
+    let inputs = cert_inputs(cf, config);
+    let cached = lock(&inputs.reference).as_ref().filter(|b| b.derived_from(cf, config)).cloned();
+    let body = cached.unwrap_or_else(|| {
+        let body = Arc::new(BodyRuns::build(cf, config, &inputs.inputs));
+        *lock(&inputs.reference) = Some(Arc::clone(&body));
+        body
+    });
+    Reference { inputs, body }
 }
 
 fn function_has_stackalloc(cmd: &rupicola_bedrock::Cmd) -> bool {
@@ -666,7 +950,7 @@ fn mask_for_kind(kind: ScalarKind, w: u64) -> u64 {
 
 fn compare_traces(
     spec: &FnSpec,
-    world: &World,
+    src: &ModelRun,
     state: &ExecState,
     vector_desc: &str,
 ) -> Result<(), CheckError> {
@@ -675,12 +959,12 @@ fn compare_traces(
         .iter()
         .partition(|e| e.action == "writer_tell");
     let writer_got: Vec<u64> = writer_events.iter().filter_map(|e| e.args.first().copied()).collect();
-    if writer_got != world.writer {
+    if writer_got != src.writer {
         return Err(CheckError::Mismatch {
             vector: vector_desc.to_string(),
             detail: format!(
                 "writer output: model {:?}, compiled {:?}",
-                world.writer, writer_got
+                src.writer, writer_got
             ),
         });
     }
@@ -697,7 +981,7 @@ fn compare_traces(
             }
         }
         TraceSpec::MirrorsSource => {
-            let expected: Vec<TraceEvent> = world.events.iter().map(event_to_trace).collect();
+            let expected: Vec<TraceEvent> = src.events.iter().map(event_to_trace).collect();
             let got: Vec<TraceEvent> = other_events.into_iter().cloned().collect();
             if expected != got {
                 return Err(CheckError::Mismatch {
@@ -1088,6 +1372,7 @@ mod tests {
             linked: Vec::new(),
             optimized: None,
             stats: Default::default(),
+            validation: Default::default(),
         }
     }
 

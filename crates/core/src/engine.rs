@@ -702,6 +702,10 @@ pub struct CompiledFunction {
     pub optimized: Option<BFunction>,
     /// Run statistics.
     pub stats: CompileStats,
+    /// What validation derived from this certificate so far, shared with
+    /// every clone. Never serialized and ignored by equality; see
+    /// [`ValidationContext`](crate::check::ValidationContext).
+    pub validation: crate::check::ValidationContext,
 }
 
 impl CompiledFunction {
@@ -776,6 +780,7 @@ pub fn compile_with_limits(
         linked: cx.linked,
         optimized: None,
         stats: cx.stats,
+        validation: Default::default(),
     })
 }
 

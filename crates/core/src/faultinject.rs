@@ -506,6 +506,7 @@ mod tests {
             linked: Vec::new(),
             optimized: None,
             stats: Default::default(),
+            validation: Default::default(),
         }
     }
 

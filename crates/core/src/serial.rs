@@ -645,6 +645,7 @@ pub fn decode_compiled_function(j: &Json) -> DecodeResult<CompiledFunction> {
             j => Some(decode_bfunction(j)?),
         },
         stats: decode_compile_stats(obj_get(j, "stats", "compiled function")?)?,
+        validation: Default::default(),
     })
 }
 

@@ -113,6 +113,11 @@ impl ExternRegistry {
     pub fn effect(&self, tag: &str) -> Option<&EffectHandler> {
         self.effects.get(tag)
     }
+
+    /// Whether no operation and no effect handler is registered.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty() && self.effects.is_empty()
+    }
 }
 
 #[cfg(test)]

@@ -4,30 +4,36 @@
 //! correct code — one statement per consumed lemma — and proves it against
 //! the functional model. This crate adds a *staged pass manager* that
 //! rewrites that certified output for speed without ever joining the
-//! trusted base: every pass is untrusted, and after each one the candidate
-//! body is re-validated against the **original** certificate by three
-//! independent layers (CompCert-style translation validation):
+//! trusted base: every pass is untrusted, and the pipeline's output is
+//! validated against the **original** certificate by four independent
+//! layers (CompCert-style translation validation), cheapest first:
 //!
-//! 1. the trusted checker re-runs ([`rupicola_core::check::check_with`]) —
-//!    witness recount, side-condition re-solving, and the model-vs-code
-//!    differential on fresh vectors;
-//! 2. the derivation-blind lint suite re-audits the candidate
+//! 1. the derivation-blind lint suite re-audits the candidate
 //!    ([`rupicola_analysis::analyze_with_dbs`]);
+//! 2. the trusted checker re-runs ([`rupicola_core::check::check_with`]) —
+//!    witness recount, side-condition re-solving, and the model-vs-code
+//!    differential on the certificate's vectors;
 //! 3. the Bedrock2 interpreter differential-tests the candidate against
-//!    the pre-pass body on the checker's concretized inputs, comparing
-//!    return values, heap, trace, and final locals;
+//!    the certified body (`cf.function`) on the checker's concretized
+//!    inputs, comparing return values, heap, trace, and final locals;
 //! 4. when the pipeline carries a [`SecrecyPolicy`], the
 //!    secret-independence analysis ([`rupicola_analysis::ct`]) re-runs on
 //!    the candidate: a pass that turns a CT-clean body into one with a
 //!    secret-dependent branch, address, or variable-latency operand is
 //!    rolled back even though it is functionally correct.
 //!
-//! A pass whose output fails any layer is **rolled back** — its
-//! [`PassReport`] records a typed [`OptError`], the pipeline continues
-//! from the last validated body, and nothing ever panics. The certified
-//! [`CompiledFunction::function`] is never replaced; the optimized body
-//! lands in [`CompiledFunction::optimized`] and consumers opt in
-//! explicitly.
+//! [`optimize_compiled`] runs every pass and validates the composed body
+//! once. Only when that fails does it fall back to the step-wise protocol
+//! ([`optimize_stepwise`]), which validates after each pass: a pass whose
+//! output fails any layer is **rolled back** — its [`PassReport`] records
+//! a typed [`OptError`], the pipeline continues from the last validated
+//! body, and nothing ever panics. What the certificate alone determines
+//! (vectors, model results, the certified body's runs) is computed once
+//! per certificate, in its
+//! [`ValidationContext`](rupicola_core::check::ValidationContext). The
+//! certified [`CompiledFunction::function`] is never replaced; the
+//! optimized body lands in [`CompiledFunction::optimized`] and consumers
+//! opt in explicitly.
 //!
 //! The passes (in default order) are deliberately boring — the interesting
 //! part is that none of them has to be correct:
@@ -48,6 +54,8 @@
 
 #![forbid(unsafe_code)]
 
+#[cfg(test)]
+mod localization;
 pub mod mutants;
 pub mod passes;
 mod validate;
@@ -170,13 +178,13 @@ pub enum OptError {
         detail: String,
     },
     /// The interpreter differential found an observable divergence from
-    /// the pre-pass body (or the candidate stopped terminating).
+    /// the certified body (or the candidate stopped terminating).
     InterpDiverged {
         /// Input and mismatch description.
         detail: String,
     },
     /// The candidate regressed the secret-independence (constant-time)
-    /// analysis: the pre-pass body was CT-clean under the pipeline's
+    /// analysis: the certified body was CT-clean under the pipeline's
     /// policy but the candidate is not.
     CtRegressed {
         /// The CT findings the candidate introduced.
@@ -302,8 +310,15 @@ pub fn run_pass(pass: PassId, f: &BFunction) -> PassOutcome {
     }
 }
 
-/// Runs the pipeline over a certified function, translation-validating
-/// after every pass and rolling back any pass that fails.
+/// Runs the pipeline over a certified function and translation-validates
+/// the composed result once; only when that fails does it fall back to
+/// [`optimize_stepwise`], which finds and rolls back the failing passes.
+///
+/// Soundness rests on the composed check alone: the final body clears
+/// every layer against the original certificate. The composed route
+/// reports exactly what the step-wise protocol would whenever the
+/// composed body validates and each intermediate body would too (the
+/// equivalence battery pins this for the whole suite).
 ///
 /// On return, `cf.optimized` holds the final validated body when at least
 /// one pass applied (`None` otherwise), and the `opt_*` counters in
@@ -315,74 +330,150 @@ pub fn optimize_compiled(
     pipeline: &PipelineConfig,
     config: &CheckConfig,
 ) -> PipelineReport {
-    let mut current = cf.function.clone();
-    let mut report = PipelineReport::default();
+    optimize_by(cf, dbs, pipeline, config, &|_, pass, f| run_pass(pass, f))
+}
 
-    for &pass in &pipeline.passes {
-        let outcome = match rupicola_core::catch_quiet(|| run_pass(pass, &current)) {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                let detail = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("pass panicked")
-                    .to_string();
-                report.passes.push(PassReport {
-                    pass,
-                    sites_rewritten: 0,
-                    facts_consumed: 0,
-                    applied: false,
-                    rolled_back: Some(OptError::Internal { detail }),
-                });
-                continue;
-            }
+/// The step-wise protocol: translation-validates after every pass and
+/// rolls back any pass that fails, continuing from the last validated
+/// body. [`optimize_compiled`] falls back to it when the composed result
+/// fails validation; it is public so the two can be compared.
+pub fn optimize_stepwise(
+    cf: &mut CompiledFunction,
+    dbs: &HintDbs,
+    pipeline: &PipelineConfig,
+    config: &CheckConfig,
+) -> PipelineReport {
+    let validate = |body: &BFunction| {
+        validate::validate_candidate_with_policy(cf, body, dbs, config, pipeline.ct_policy.as_ref())
+    };
+    let run = |_: usize, pass, f: &BFunction| run_pass(pass, f);
+    let walk = walk(&cf.function, &pipeline.passes, &run, &validate, Vec::new());
+    finish(cf, walk)
+}
+
+/// Runs pass `i` of a pipeline (its id is `pass`) over a body.
+type PassFn<'a> = dyn Fn(usize, PassId, &BFunction) -> PassOutcome + 'a;
+
+fn optimize_by(
+    cf: &mut CompiledFunction,
+    dbs: &HintDbs,
+    pipeline: &PipelineConfig,
+    config: &CheckConfig,
+    run: &PassFn<'_>,
+) -> PipelineReport {
+    let passes = &pipeline.passes;
+    let validate = |body: &BFunction| {
+        validate::validate_candidate_with_policy(cf, body, dbs, config, pipeline.ct_policy.as_ref())
+    };
+    let composed = walk(&cf.function, passes, run, &|_| Ok(()), Vec::new());
+    let walk = if composed.report.applied_count() > 0 && validate(&composed.body).is_err() {
+        walk(&cf.function, passes, run, &validate, composed.steps)
+    } else {
+        composed
+    };
+    finish(cf, walk)
+}
+
+/// What one pass produced from its input, before validation.
+enum Step {
+    /// The pass panicked.
+    Panicked(String),
+    /// The pass rewrote nothing.
+    NoOp { facts_consumed: usize },
+    /// A changed candidate body.
+    Rewrote(PassOutcome),
+}
+
+/// A walk through the pipeline: the last accepted body, the report, and
+/// every pass's unvalidated output.
+struct Walk {
+    body: BFunction,
+    report: PipelineReport,
+    steps: Vec<Step>,
+}
+
+/// Walks the pipeline from the certified body, keeping each changed
+/// candidate `accept` admits and rolling back the rest. The outputs in
+/// `known` are reused while the walk follows the trajectory they were
+/// computed on, that is up to and including its first rollback.
+fn walk(
+    certified: &BFunction,
+    passes: &[PassId],
+    run: &PassFn<'_>,
+    accept: &dyn Fn(&BFunction) -> Result<(), OptError>,
+    known: Vec<Step>,
+) -> Walk {
+    let mut current = certified.clone();
+    let mut report = PipelineReport::default();
+    let mut steps = Vec::with_capacity(passes.len());
+    let mut known = known.into_iter();
+    let mut on_track = true;
+    for (i, &pass) in passes.iter().enumerate() {
+        let step = match known.next() {
+            Some(step) if on_track => step,
+            _ => run_step(run, i, pass, &current),
         };
-        // A pass that rewrote nothing produced the same body; skip the
-        // (expensive) validation and record a no-op.
-        if outcome.sites_rewritten == 0 || outcome.function == current {
-            report.passes.push(PassReport {
+        report.passes.push(match &step {
+            Step::Panicked(detail) => PassReport {
                 pass,
                 sites_rewritten: 0,
-                facts_consumed: outcome.facts_consumed,
+                facts_consumed: 0,
+                applied: false,
+                rolled_back: Some(OptError::Internal { detail: detail.clone() }),
+            },
+            Step::NoOp { facts_consumed } => PassReport {
+                pass,
+                sites_rewritten: 0,
+                facts_consumed: *facts_consumed,
                 applied: false,
                 rolled_back: None,
-            });
-            continue;
-        }
-        match validate::validate_candidate_with_policy(
-            cf,
-            &outcome.function,
-            dbs,
-            config,
-            pipeline.ct_policy.as_ref(),
-        ) {
-            Ok(()) => {
-                current = outcome.function;
-                report.passes.push(PassReport {
+            },
+            Step::Rewrote(outcome) => {
+                let verdict = accept(&outcome.function);
+                if verdict.is_ok() {
+                    current = outcome.function.clone();
+                } else {
+                    on_track = false;
+                }
+                PassReport {
                     pass,
                     sites_rewritten: outcome.sites_rewritten,
                     facts_consumed: outcome.facts_consumed,
-                    applied: true,
-                    rolled_back: None,
-                });
+                    applied: verdict.is_ok(),
+                    rolled_back: verdict.err(),
+                }
             }
-            Err(err) => {
-                report.passes.push(PassReport {
-                    pass,
-                    sites_rewritten: outcome.sites_rewritten,
-                    facts_consumed: outcome.facts_consumed,
-                    applied: false,
-                    rolled_back: Some(err),
-                });
-            }
-        }
+        });
+        steps.push(step);
     }
+    Walk { body: current, report, steps }
+}
 
+fn run_step(run: &PassFn<'_>, i: usize, pass: PassId, current: &BFunction) -> Step {
+    match rupicola_core::catch_quiet(|| run(i, pass, current)) {
+        Err(payload) => Step::Panicked(
+            payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("pass panicked")
+                .to_string(),
+        ),
+        // A pass that rewrote nothing produced the same body; it needs no
+        // validation.
+        Ok(outcome) if outcome.sites_rewritten == 0 || outcome.function == *current => {
+            Step::NoOp { facts_consumed: outcome.facts_consumed }
+        }
+        Ok(outcome) => Step::Rewrote(outcome),
+    }
+}
+
+fn finish(cf: &mut CompiledFunction, walk: Walk) -> PipelineReport {
+    let report = walk.report;
     cf.stats.opt_passes_applied = report.applied_count();
     cf.stats.opt_passes_rolled_back = report.rolled_back_count();
     cf.stats.opt_sites_rewritten = report.sites_rewritten();
-    cf.optimized = if report.applied_count() > 0 { Some(current) } else { None };
+    cf.optimized = if report.applied_count() > 0 { Some(walk.body) } else { None };
     report
 }
 

@@ -1,5 +1,5 @@
-//! Translation validation: the three layers every pass output must clear
-//! before it replaces the working body.
+//! Translation validation: the layers a candidate body must clear before
+//! it replaces the certified one.
 //!
 //! The candidate is validated against the **original** certificate and
 //! specification, never against intermediate states, so pass bugs cannot
@@ -10,7 +10,7 @@ use crate::{OptError, TEMP_PREFIX};
 use rupicola_analysis::{analyze_with_dbs, ct, SecrecyPolicy};
 use rupicola_bedrock::interp::NoExternals;
 use rupicola_bedrock::{BFunction, ExecState, Interpreter, Program};
-use rupicola_core::check::{check_with, differential_inputs, CheckConfig, CheckError};
+use rupicola_core::check::{check_with, reference, CheckConfig, CheckError, Reference};
 use rupicola_core::lemma::HintDbs;
 use rupicola_core::CompiledFunction;
 
@@ -18,8 +18,9 @@ use rupicola_core::CompiledFunction;
 ///
 /// # Errors
 ///
-/// A typed [`OptError`] naming the first layer that rejected it:
-/// the trusted checker, the lint suite, or the interpreter differential.
+/// A typed [`OptError`] naming the first layer that rejected it, in
+/// order: the lint suite, the trusted checker, the interpreter
+/// differential against the certified body.
 pub fn validate_candidate(
     cf: &CompiledFunction,
     candidate: &BFunction,
@@ -59,17 +60,8 @@ pub fn validate_candidate_with_policy(
         ..cf.clone()
     };
 
-    // Layer 1: the trusted checker, against the original spec and witness.
-    if let Err(e) = check_with(&cand_cf, dbs, config) {
-        return Err(match e {
-            CheckError::Divergence { .. } => {
-                OptError::InterpDiverged { detail: e.to_string() }
-            }
-            other => OptError::CheckFailed { detail: other.to_string() },
-        });
-    }
-
-    // Layer 2: the derivation-blind lint suite.
+    // Layer 2 first: the derivation-blind lint suite is the cheapest layer
+    // to reject with.
     let report = analyze_with_dbs(&cand_cf, Some(dbs));
     if report.has_errors() {
         let detail = report
@@ -80,13 +72,26 @@ pub fn validate_candidate_with_policy(
         return Err(OptError::LintFailed { detail });
     }
 
-    // Layer 3: the interpreter differential against the pre-pass body.
-    differential(cf, candidate, config)?;
+    // Layer 1: the trusted checker, against the original spec and witness.
+    if let Err(e) = check_with(&cand_cf, dbs, config) {
+        return Err(match e {
+            CheckError::Divergence { .. } => {
+                OptError::InterpDiverged { detail: e.to_string() }
+            }
+            other => OptError::CheckFailed { detail: other.to_string() },
+        });
+    }
+
+    // Layer 3: the interpreter differential against the certified body.
+    let reference = reference(cf, config);
+    differential(&reference, cf, candidate, config)?;
 
     // Layer 4: secret-independence. Only a *regression* is a failure.
     if let Some(policy) = policy {
-        let orig_findings = ct::run_function(&cf.function, &cf.spec, policy);
-        if orig_findings.is_empty() {
+        let orig_clean = reference.memo_flag(&format!("ct-clean {policy:?}"), || {
+            ct::run_function(&cf.function, &cf.spec, policy).is_empty()
+        });
+        if orig_clean {
             let cand_findings = ct::run_function(candidate, &cf.spec, policy);
             if !cand_findings.is_empty() {
                 let detail = cand_findings
@@ -101,40 +106,36 @@ pub fn validate_candidate_with_policy(
     Ok(())
 }
 
-fn program_for(main: &BFunction, linked: &[BFunction]) -> Program {
-    let mut p = Program::new();
-    p.insert(main.clone());
-    for f in linked {
-        p.insert(f.clone());
-    }
-    p
-}
-
-/// Runs both bodies on the checker's concretized inputs and demands
-/// byte-identical observable behavior: return words, final heap, event
-/// trace — and locals, up to pass-introduced `_cse*` temporaries on the
-/// optimized side and eliminated temporaries on the original side.
+/// Runs the candidate on the certificate's concretized inputs and demands
+/// the certified body's observable behavior, byte for byte: return words,
+/// final heap, event trace — and locals, up to pass-introduced `_cse*`
+/// temporaries on the optimized side and eliminated temporaries on the
+/// certified side.
 fn differential(
+    reference: &Reference,
     cf: &CompiledFunction,
     candidate: &BFunction,
     config: &CheckConfig,
 ) -> Result<(), OptError> {
-    let prog_orig = program_for(&cf.function, &cf.linked);
-    let prog_cand = program_for(candidate, &cf.linked);
-    let interp_orig = Interpreter::new(&prog_orig);
+    let mut prog_cand = Program::new();
+    prog_cand.insert(candidate.clone());
+    for f in &cf.linked {
+        prog_cand.insert(f.clone());
+    }
     let interp_cand = Interpreter::new(&prog_cand);
     let name = &cf.function.name;
-    let fuel = config.max_fuel;
 
-    for input in differential_inputs(cf, config) {
-        let mut st_o = ExecState::new(input.mem.clone());
-        let res_o =
-            interp_orig.call_with_locals(name, &input.args, &mut st_o, &mut NoExternals, fuel);
-        let mut st_c = ExecState::new(input.mem);
-        let res_c =
-            interp_cand.call_with_locals(name, &input.args, &mut st_c, &mut NoExternals, fuel);
+    for (input, orig) in reference.cases() {
+        let mut st_c = ExecState::new(input.mem.clone());
+        let res_c = interp_cand.call_with_locals(
+            name,
+            &input.args,
+            &mut st_c,
+            &mut NoExternals,
+            config.max_fuel,
+        );
 
-        match (res_o, res_c) {
+        match (&orig.outcome, res_c) {
             // Matching faults are equivalent (messages may differ: a pass
             // may legally reorder which of several traps fires first).
             (Err(_), Err(_)) => {}
@@ -152,7 +153,7 @@ fn differential(
                 });
             }
             (Ok((rets_o, locals_o)), Ok((rets_c, locals_c))) => {
-                if rets_o != rets_c {
+                if *rets_o != rets_c {
                     return Err(OptError::InterpDiverged {
                         detail: format!(
                             "return values differ on [{}]: {rets_o:?} vs {rets_c:?}",
@@ -160,12 +161,12 @@ fn differential(
                         ),
                     });
                 }
-                if st_o.mem != st_c.mem {
+                if orig.mem != st_c.mem {
                     return Err(OptError::InterpDiverged {
                         detail: format!("final heap differs on [{}]", input.desc),
                     });
                 }
-                if st_o.trace != st_c.trace {
+                if orig.trace != st_c.trace {
                     return Err(OptError::InterpDiverged {
                         detail: format!("event trace differs on [{}]", input.desc),
                     });

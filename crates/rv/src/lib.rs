@@ -21,15 +21,19 @@
 //!    (jump-to-next elimination, branch-over-jump inversion), and
 //!    `addi-fold` (load-immediate folding into `addi`, move retargeting).
 //!
-//! After every stage the candidate machine code is **differentially
-//! executed** on the [`Machine`] simulator against the Bedrock2
-//! interpreter over the checker's concretized inputs, comparing return
-//! values, the final heap region-by-region, and the final locals read
-//! back from the flushed frame ([`validate::validate_artifact`]). A stage
-//! whose candidate diverges — or fails to assemble, or panics — is rolled
-//! back to the last validated artifact and the failure is recorded as a
-//! typed [`RvBackendError`] in the [`StageReport`]; the pipeline never
-//! panics and never keeps unvalidated code.
+//! The baseline and then the composed output of all later stages are
+//! **differentially executed** on the [`Machine`] simulator against the
+//! Bedrock2 interpreter over the checker's concretized inputs, comparing
+//! return values, the final heap region-by-region, and the final locals
+//! read back from the flushed frame ([`validate::validate_artifact`]). The
+//! certified body's side of that differential is run once per certificate
+//! and kept in its validation context. Only when the composed artifact
+//! fails does [`lower_validated`] fall back to validating stage by stage
+//! ([`lower_stepwise`]): a stage whose candidate diverges — or fails to
+//! assemble, or panics — is rolled back to the last validated artifact and
+//! the failure is recorded as a typed [`RvBackendError`] in the
+//! [`StageReport`]; the pipeline never panics and never keeps unvalidated
+//! code.
 //!
 //! What the differential does *not* do: it is testing-validation over the
 //! certificate's vectors, not Bedrock2's end-to-end compiler proof — see
@@ -39,6 +43,8 @@
 
 #![forbid(unsafe_code)]
 
+#[cfg(test)]
+mod localization;
 pub mod lower;
 pub mod mutants;
 pub mod peephole;
@@ -51,7 +57,7 @@ use rupicola_core::CompiledFunction;
 use std::fmt;
 
 pub use lower::{linear_scan, lower_allocated, Assignment, POOL_BASE, POOL_LAST};
-pub use validate::{run_artifact, validate_artifact, validate_artifact_on, RvRunOutcome, RV_FUEL};
+pub use validate::{run_artifact, validate_artifact, RvRunOutcome, RV_FUEL};
 
 /// Identifies one stage of the RISC-V lowering pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -255,14 +261,17 @@ pub fn instr_count(asm: &[Asm]) -> usize {
     asm.iter().filter(|a| !matches!(a, Asm::Label(_))).count()
 }
 
-/// Lowers a certified function to RISC-V through the staged pipeline,
-/// differentially validating after every stage and rolling back any stage
-/// that fails.
+/// Lowers a certified function to RISC-V through the staged pipeline:
+/// validates the naive baseline, runs every optimization stage, and
+/// differentially validates the final artifact once. Only when that fails
+/// does it fall back to [`lower_stepwise`], which finds and rolls back the
+/// failing stages.
 ///
-/// Returns the last validated artifact plus the per-stage report. The
-/// certified Bedrock2 body is the unchanging reference — every stage is
-/// validated against *it*, never against another stage's output, so stage
-/// bugs cannot compound.
+/// Returns the validated artifact plus the per-stage report. The certified
+/// Bedrock2 body is the unchanging reference — the baseline and the final
+/// artifact (and, in the fallback, every stage) are validated against
+/// *it*, never against another stage's output, so stage bugs cannot
+/// compound.
 ///
 /// # Errors
 ///
@@ -277,95 +286,157 @@ pub fn lower_validated(
     pipeline: &RvPipelineConfig,
     config: &CheckConfig,
 ) -> Result<(RvArtifact, RvReport), RvBackendError> {
-    let inputs = rupicola_core::check::differential_inputs(cf, config);
-    if inputs.is_empty() {
+    lower_by(cf, &pipeline.stages, config, &|_, stage, current| apply_stage(stage, cf, current))
+}
+
+/// The step-wise protocol: differentially validates the baseline and then
+/// every stage's output, rolling back any stage that fails.
+/// [`lower_validated`] falls back to it when the composed artifact fails
+/// validation; it is public so the two can be compared.
+///
+/// # Errors
+///
+/// As [`lower_validated`].
+pub fn lower_stepwise(
+    cf: &CompiledFunction,
+    pipeline: &RvPipelineConfig,
+    config: &CheckConfig,
+) -> Result<(RvArtifact, RvReport), RvBackendError> {
+    let baseline = baseline(cf, config)?;
+    let apply = |_: usize, stage, current: &RvArtifact| apply_stage(stage, cf, current);
+    let validate = |art: &RvArtifact| validate_artifact(cf, art, config);
+    let walk = walk(baseline, &pipeline.stages, &apply, &validate, Vec::new());
+    Ok((walk.artifact, walk.report))
+}
+
+/// Runs stage `i` of a pipeline (its id is `stage`) over an artifact.
+type StageFn<'a> = dyn Fn(usize, RvStageId, &RvArtifact) -> Result<RvArtifact, RvBackendError> + 'a;
+
+fn lower_by(
+    cf: &CompiledFunction,
+    stages: &[RvStageId],
+    config: &CheckConfig,
+    apply: &StageFn<'_>,
+) -> Result<(RvArtifact, RvReport), RvBackendError> {
+    let baseline = baseline(cf, config)?;
+    let validate = |art: &RvArtifact| validate_artifact(cf, art, config);
+    let composed = walk(baseline.clone(), stages, apply, &|_| Ok(()), Vec::new());
+    // The baseline counts as applied; any other applied stage changed it.
+    let walk = if composed.report.applied_count() > 1 && validate(&composed.artifact).is_err() {
+        walk(baseline, stages, apply, &validate, composed.runs)
+    } else {
+        composed
+    };
+    Ok((walk.artifact, walk.report))
+}
+
+/// The naive spill-all lowering, validated. A failure here is fatal: there
+/// is no earlier artifact to roll back to.
+fn baseline(cf: &CompiledFunction, config: &CheckConfig) -> Result<RvArtifact, RvBackendError> {
+    if rupicola_core::check::reference(cf, config).is_empty() {
         return Err(RvBackendError::Internal {
             detail: "no differential input concretizes; refusing to validate on nothing".into(),
         });
     }
-
     let naive =
         compile_function(&cf.function).map_err(|e| RvBackendError::Compile { detail: e.to_string() })?;
-    validate::validate_artifact_on(cf, &naive, config, &inputs).map_err(|e| match e {
+    validate_artifact(cf, &naive, config).map_err(|e| match e {
         RvBackendError::Diverged { detail } => RvBackendError::BaselineDiverged { detail },
         other => other,
     })?;
+    Ok(naive)
+}
+
+/// What one stage produced from its input, before validation.
+enum StageRun {
+    /// The stage failed (or panicked) without producing a candidate.
+    Failed(RvBackendError),
+    /// The stage changed nothing.
+    Unchanged,
+    /// A changed candidate artifact.
+    Changed(RvArtifact),
+}
+
+/// A walk through the stages: the last accepted artifact, the report, and
+/// every stage's unvalidated output.
+struct Walk {
+    artifact: RvArtifact,
+    report: RvReport,
+    runs: Vec<StageRun>,
+}
+
+/// Walks the stages from the validated baseline, keeping each changed
+/// candidate `accept` admits and rolling back the rest. The outputs in
+/// `known` are reused while the walk follows the trajectory they were
+/// computed on, that is up to and including its first rollback.
+fn walk(
+    baseline: RvArtifact,
+    stages: &[RvStageId],
+    apply: &StageFn<'_>,
+    accept: &dyn Fn(&RvArtifact) -> Result<(), RvBackendError>,
+    known: Vec<StageRun>,
+) -> Walk {
+    let naive = instr_count(&baseline.asm);
     let mut report = RvReport::default();
     report.stages.push(StageReport {
         stage: RvStageId::Lower,
-        instrs_before: instr_count(&naive.asm),
-        instrs_after: instr_count(&naive.asm),
+        instrs_before: naive,
+        instrs_after: naive,
         applied: true,
         rolled_back: None,
     });
-    let mut current = naive;
-
-    for &stage in &pipeline.stages {
+    let mut current = baseline;
+    let mut runs = Vec::with_capacity(stages.len());
+    let mut known = known.into_iter();
+    let mut on_track = true;
+    for (i, &stage) in stages.iter().enumerate() {
         let before = instr_count(&current.asm);
-        let candidate = match rupicola_core::catch_quiet(|| apply_stage(stage, cf, &current)) {
-            Ok(Ok(c)) => c,
-            Ok(Err(err)) => {
-                report.stages.push(StageReport {
-                    stage,
-                    instrs_before: before,
-                    instrs_after: before,
-                    applied: false,
-                    rolled_back: Some(err),
-                });
-                continue;
-            }
-            Err(payload) => {
-                let detail = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("stage panicked")
-                    .to_string();
-                report.stages.push(StageReport {
-                    stage,
-                    instrs_before: before,
-                    instrs_after: before,
-                    applied: false,
-                    rolled_back: Some(RvBackendError::Internal { detail }),
-                });
-                continue;
-            }
+        let run = match known.next() {
+            Some(run) if on_track => run,
+            _ => run_stage(apply, i, stage, &current),
         };
-        // A stage that changed nothing produced the same artifact; skip
-        // the (expensive) validation and record a no-op.
-        if candidate == current {
-            report.stages.push(StageReport {
-                stage,
-                instrs_before: before,
-                instrs_after: before,
-                applied: false,
-                rolled_back: None,
-            });
-            continue;
-        }
-        match validate::validate_artifact_on(cf, &candidate, config, &inputs) {
-            Ok(()) => {
-                report.stages.push(StageReport {
-                    stage,
-                    instrs_before: before,
-                    instrs_after: instr_count(&candidate.asm),
-                    applied: true,
-                    rolled_back: None,
-                });
-                current = candidate;
-            }
-            Err(err) => {
-                report.stages.push(StageReport {
-                    stage,
-                    instrs_before: before,
-                    instrs_after: before,
-                    applied: false,
-                    rolled_back: Some(err),
-                });
-            }
-        }
+        let (applied, rolled_back) = match &run {
+            StageRun::Failed(err) => (false, Some(err.clone())),
+            StageRun::Unchanged => (false, None),
+            StageRun::Changed(candidate) => match accept(candidate) {
+                Ok(()) => {
+                    current = candidate.clone();
+                    (true, None)
+                }
+                Err(err) => {
+                    on_track = false;
+                    (false, Some(err))
+                }
+            },
+        };
+        report.stages.push(StageReport {
+            stage,
+            instrs_before: before,
+            instrs_after: instr_count(&current.asm),
+            applied,
+            rolled_back,
+        });
+        runs.push(run);
     }
-    Ok((current, report))
+    Walk { artifact: current, report, runs }
+}
+
+fn run_stage(apply: &StageFn<'_>, i: usize, stage: RvStageId, current: &RvArtifact) -> StageRun {
+    match rupicola_core::catch_quiet(|| apply(i, stage, current)) {
+        // A stage that changed nothing produced the same artifact; it
+        // needs no validation.
+        Ok(Ok(candidate)) if candidate == *current => StageRun::Unchanged,
+        Ok(Ok(candidate)) => StageRun::Changed(candidate),
+        Ok(Err(err)) => StageRun::Failed(err),
+        Err(payload) => StageRun::Failed(RvBackendError::Internal {
+            detail: payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("stage panicked")
+                .to_string(),
+        }),
+    }
 }
 
 /// Runs one stage over one artifact, with no validation. Exposed so the

@@ -10,11 +10,10 @@
 //! the answer right but clobbers a neighbour has nowhere to hide.
 
 use crate::RvBackendError;
-use rupicola_bedrock::interp::NoExternals;
 use rupicola_bedrock::rv::{assemble, Machine, Reg, RvError};
 use rupicola_bedrock::rv_compile::RvArtifact;
-use rupicola_bedrock::{ExecState, Interpreter, Memory, Program};
-use rupicola_core::check::{differential_inputs, CheckConfig, DifferentialInput};
+use rupicola_bedrock::Memory;
+use rupicola_core::check::{reference, CheckConfig};
 use rupicola_core::CompiledFunction;
 use std::collections::HashMap;
 
@@ -121,15 +120,6 @@ pub fn run_artifact(
     outcome
 }
 
-fn program_for(cf: &CompiledFunction) -> Program {
-    let mut p = Program::new();
-    p.insert(cf.function.clone());
-    for f in &cf.linked {
-        p.insert(f.clone());
-    }
-    p
-}
-
 fn is_assembly_error(e: &RvError) -> bool {
     matches!(
         e,
@@ -138,9 +128,10 @@ fn is_assembly_error(e: &RvError) -> bool {
 }
 
 /// Differentially validates `artifact` against the **certified** body of
-/// `cf` (never against another artifact) on pre-computed inputs. Use
-/// [`validate_artifact`] unless the caller amortizes input generation
-/// across stages.
+/// `cf` (never against another artifact) on the checker's concretized
+/// inputs. The certified body's runs come from `cf`'s validation context,
+/// so validating several artifacts of one certificate interprets the body
+/// once.
 ///
 /// Equivalence is judged per input as: both fault, or both succeed with
 /// identical return words, identical final heaps (region by region —
@@ -150,21 +141,23 @@ fn is_assembly_error(e: &RvError) -> bool {
 ///
 /// # Errors
 ///
+/// [`RvBackendError::Internal`] when the checker concretizes no inputs at
+/// all (validating against nothing proves nothing);
 /// [`RvBackendError::Assembly`] when the artifact does not even assemble;
 /// [`RvBackendError::Diverged`] naming the first disagreeing input.
-pub fn validate_artifact_on(
+pub fn validate_artifact(
     cf: &CompiledFunction,
     artifact: &RvArtifact,
     config: &CheckConfig,
-    inputs: &[DifferentialInput],
 ) -> Result<(), RvBackendError> {
-    let prog = program_for(cf);
-    let interp = Interpreter::new(&prog);
-    let name = &cf.function.name;
-    for input in inputs {
-        let mut st = ExecState::new(input.mem.clone());
-        let res_b =
-            interp.call_with_locals(name, &input.args, &mut st, &mut NoExternals, config.max_fuel);
+    let reference = reference(cf, config);
+    if reference.is_empty() {
+        return Err(RvBackendError::Internal {
+            detail: "checker produced no differential inputs; refusing to validate on nothing"
+                .to_string(),
+        });
+    }
+    for (input, run) in reference.cases() {
         let mut mem_m = input.mem.clone();
         let res_m = run_artifact(artifact, &mut mem_m, &input.args, RV_FUEL);
         if let Err(e) = &res_m {
@@ -172,7 +165,7 @@ pub fn validate_artifact_on(
                 return Err(RvBackendError::Assembly { detail: e.to_string() });
             }
         }
-        match (res_b, res_m) {
+        match (&run.outcome, res_m) {
             // Matching faults are equivalent: the lowering may hit its
             // trap at a different point, but both executions get stuck.
             (Err(_), Err(_)) => {}
@@ -190,7 +183,7 @@ pub fn validate_artifact_on(
                 });
             }
             (Ok((rets_b, locals_b)), Ok(out)) => {
-                if rets_b != out.rets {
+                if *rets_b != out.rets {
                     return Err(RvBackendError::Diverged {
                         detail: format!(
                             "return values differ on [{}]: {rets_b:?} vs {:?}",
@@ -198,17 +191,17 @@ pub fn validate_artifact_on(
                         ),
                     });
                 }
-                if st.mem.region_count() != mem_m.region_count() {
+                if run.mem.region_count() != mem_m.region_count() {
                     return Err(RvBackendError::Diverged {
                         detail: format!(
                             "heap region count differs on [{}]: {} vs {}",
                             input.desc,
-                            st.mem.region_count(),
+                            run.mem.region_count(),
                             mem_m.region_count()
                         ),
                     });
                 }
-                for (base, bytes) in st.mem.regions() {
+                for (base, bytes) in run.mem.regions() {
                     if mem_m.region(base) != Some(bytes) {
                         return Err(RvBackendError::Diverged {
                             detail: format!(
@@ -218,7 +211,7 @@ pub fn validate_artifact_on(
                         });
                     }
                 }
-                for (var, val) in &locals_b {
+                for (var, val) in locals_b {
                     match out.locals.get(var) {
                         Some(frame_val) if frame_val == val => {}
                         Some(frame_val) => {
@@ -243,28 +236,6 @@ pub fn validate_artifact_on(
         }
     }
     Ok(())
-}
-
-/// [`validate_artifact_on`] over freshly concretized checker inputs.
-///
-/// # Errors
-///
-/// See [`validate_artifact_on`]; additionally
-/// [`RvBackendError::Internal`] when the checker concretizes no inputs at
-/// all (validating against nothing proves nothing).
-pub fn validate_artifact(
-    cf: &CompiledFunction,
-    artifact: &RvArtifact,
-    config: &CheckConfig,
-) -> Result<(), RvBackendError> {
-    let inputs = differential_inputs(cf, config);
-    if inputs.is_empty() {
-        return Err(RvBackendError::Internal {
-            detail: "checker produced no differential inputs; refusing to validate on nothing"
-                .to_string(),
-        });
-    }
-    validate_artifact_on(cf, artifact, config, &inputs)
 }
 
 #[cfg(test)]

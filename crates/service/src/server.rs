@@ -51,6 +51,7 @@ use rupicola_lang::json::Json;
 use rupicola_opt::optimize_compiled;
 use rupicola_programs::parallel::run_work_stealing;
 use rupicola_programs::{suite, SuiteEntry};
+use rupicola_rv::lower_validated;
 
 /// One compile request as the server schedules it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,7 +118,8 @@ impl JobResponse {
 /// driver. The key is computed once; the verified load locks one stripe;
 /// on a miss the entry compiles *outside* any lock under `limits` as
 /// adjusted by the entry's [`SuiteEntry::limits`], is optimized under the
-/// store's pipeline, and is filed back (stripe re-locked).
+/// store's pipeline, is lowered to RISC-V when the store keys under an rv
+/// pipeline, and is filed back (stripe re-locked).
 pub fn resolve_one(
     store: &ShardedStore,
     entry: &SuiteEntry,
@@ -136,12 +138,25 @@ pub fn resolve_one(
             let mut result = compile_with_limits(&model, &spec, dbs, (entry.limits)(*limits));
             if let Ok(cf) = &mut result {
                 let pipeline = store.pipeline();
+                let check = CheckConfig::default();
                 if !pipeline.passes.is_empty() {
                     // Fresh optimization is a fresh claim: certification-
                     // strength validation, not the lighter load re-check.
-                    let _ = optimize_compiled(cf, dbs, &pipeline, &CheckConfig::default());
+                    let _ = optimize_compiled(cf, dbs, &pipeline, &check);
                 }
-                let _ = store.put(key, cf, None);
+                // An rv-keyed store files only envelopes carrying the
+                // machine artifact its key promises; a function outside
+                // the backend fragment is served but not filed.
+                match store.rv_pipeline() {
+                    None => {
+                        let _ = store.put(key, cf, None);
+                    }
+                    Some(rv) => {
+                        if let Ok((artifact, _)) = lower_validated(cf, &rv, &check) {
+                            let _ = store.put(key, cf, Some(&artifact));
+                        }
+                    }
+                }
             }
             (result, Provenance::Compiled)
         }

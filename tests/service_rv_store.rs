@@ -8,7 +8,9 @@ use rupicola::core::check::CheckConfig;
 use rupicola::core::EngineLimits;
 use rupicola::ext::standard_dbs;
 use rupicola::programs::suite;
-use rupicola::service::{FsBackend, LoadOutcome, ShardedStore};
+use rupicola::service::{
+    CompileJob, FsBackend, JobOutcome, LoadOutcome, Provenance, Server, ShardedStore, TenantTable,
+};
 use rupicola::{lower_validated, RvPipelineConfig};
 use std::fs;
 use std::path::PathBuf;
@@ -145,5 +147,35 @@ fn rv_artifact_round_trips_through_the_sharded_store() {
         "expected eviction, got {outcome:?}"
     );
     assert!(!path.exists(), "evicted artifact must be deleted");
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A server over an rv-keyed store lowers on a miss and files the machine
+/// artifact with the certificate, so a repeated request is a verified hit
+/// carrying the re-validated artifact.
+#[test]
+fn a_repeated_request_to_an_rv_keyed_server_is_a_verified_hit() {
+    let root = scratch("server");
+    let dbs = standard_dbs();
+    let pipeline = RvPipelineConfig::full();
+    let server = Server::new(rv_store(&root, 1, &pipeline), TenantTable::default(), 1);
+    let jobs = [CompileJob::named("upstr")];
+    let provenance = |responses: Vec<rupicola::service::JobResponse>| match &responses[0].outcome {
+        JobOutcome::Done(r) => {
+            assert!(r.result.is_ok(), "{:?}", r.result);
+            r.provenance
+        }
+        other => panic!("expected an answer, got {other:?}"),
+    };
+    assert_eq!(provenance(server.run_batch(&jobs, &dbs)), Provenance::Compiled);
+    assert_eq!(provenance(server.run_batch(&jobs, &dbs)), Provenance::Cache);
+
+    let (model, spec, cf) = upstr();
+    let key = server.store().key_for(&model, &spec, &dbs, &EngineLimits::default());
+    let (art, _) = lower_validated(&cf, &pipeline, &CheckConfig::default()).unwrap();
+    match server.store().load_verified(key, &model, &spec, &dbs) {
+        LoadOutcome::Hit { rv, .. } => assert_eq!(rv.as_deref(), Some(&art)),
+        other => panic!("expected hit, got {other:?}"),
+    }
     let _ = fs::remove_dir_all(&root);
 }
