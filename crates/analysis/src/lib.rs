@@ -39,10 +39,8 @@ pub mod lemma_lint;
 pub mod live;
 pub mod loopcheck;
 
-use rupicola_core::fnspec::FnSpec;
 use rupicola_core::lemma::HintDbs;
-use rupicola_core::{CompileError, CompiledFunction, EngineLimits};
-use rupicola_lang::Model;
+use rupicola_core::CompiledFunction;
 use std::fmt;
 
 pub use ct::SecrecyPolicy;
@@ -317,75 +315,4 @@ pub fn run_code_passes(f: &rupicola_bedrock::BFunction, env: &MemEnv) -> Vec<Fin
     findings.extend(interval::run(f, env));
     findings.extend(loopcheck::run(f));
     findings
-}
-
-/// Options for the analyzing compile entry point.
-#[derive(Debug, Clone, Default)]
-pub struct CompileOptions {
-    /// Engine resource budgets.
-    pub limits: EngineLimits,
-    /// Run the static-analysis layer after certification and fail on
-    /// analysis errors.
-    pub analyze: bool,
-    /// When set, also run the secret-independence analysis under this
-    /// policy and fail on constant-time findings (which are always
-    /// errors). Runs regardless of `analyze`.
-    pub ct_policy: Option<SecrecyPolicy>,
-}
-
-/// Why an analyzing compilation failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PipelineError {
-    /// The relational compilation itself failed.
-    Compile(CompileError),
-    /// Compilation succeeded, but the static-analysis layer found errors.
-    /// Carries the full report (warnings included) for context.
-    Analysis(AnalysisReport),
-}
-
-impl fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PipelineError::Compile(e) => write!(f, "{e}"),
-            PipelineError::Analysis(report) => {
-                writeln!(f, "static analysis rejected the generated code:")?;
-                write!(f, "{report}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PipelineError {}
-
-impl From<CompileError> for PipelineError {
-    fn from(e: CompileError) -> Self {
-        PipelineError::Compile(e)
-    }
-}
-
-/// Compiles a model and, when [`CompileOptions::analyze`] is set, runs the
-/// static-analysis layer over the result, failing on analysis errors —
-/// the opt-in hardened pipeline.
-///
-/// # Errors
-///
-/// [`PipelineError::Compile`] if relational compilation fails;
-/// [`PipelineError::Analysis`] if the generated code or certificate does
-/// not independently re-verify.
-pub fn compile(
-    model: &Model,
-    spec: &FnSpec,
-    dbs: &HintDbs,
-    opts: &CompileOptions,
-) -> Result<CompiledFunction, PipelineError> {
-    let cf = rupicola_core::compile_with_limits(model, spec, dbs, opts.limits)?;
-    let mut report =
-        if opts.analyze { analyze_with_dbs(&cf, Some(dbs)) } else { AnalysisReport::default() };
-    if let Some(policy) = &opts.ct_policy {
-        report.findings.extend(ct::run(&cf, policy));
-    }
-    if report.has_errors() {
-        return Err(PipelineError::Analysis(report));
-    }
-    Ok(cf)
 }

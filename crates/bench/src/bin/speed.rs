@@ -25,9 +25,7 @@
 use rupicola_bench::json::{write_results, Json};
 use rupicola_core::{CompileStats, DispatchMode, EngineLimits, HintDbs};
 use rupicola_ext::standard_dbs;
-use rupicola_programs::parallel::{
-    compile_entries_parallel_with_limits, compile_entries_serial, on_deep_stack, SuiteResult,
-};
+use rupicola_programs::parallel::{compile_entries, default_workers, on_deep_stack, SuiteResult};
 use rupicola_programs::{perf_suite, SuiteEntry};
 use std::hint::black_box;
 use std::time::Instant;
@@ -62,11 +60,11 @@ struct Mode {
 fn run(mode: &Mode, entries: &[SuiteEntry]) -> Vec<SuiteResult> {
     let limits = EngineLimits::default();
     if mode.parallel {
-        compile_entries_parallel_with_limits(entries, &mode.dbs, &limits)
+        compile_entries(entries, &mode.dbs, &limits, default_workers())
     } else {
-        // The serial drivers run on the calling thread; chacha20_block's
+        // One worker runs on the calling thread; chacha20_block's
         // derivation needs the scheduler's deep stack.
-        on_deep_stack(|| compile_entries_serial(entries, &mode.dbs, &limits))
+        on_deep_stack(|| compile_entries(entries, &mode.dbs, &limits, 1))
     }
 }
 

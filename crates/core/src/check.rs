@@ -441,7 +441,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// holds the test vectors, the precondition verdicts, the concretized
 /// [`DifferentialInput`]s, the model's result on every (vector, poison)
 /// pair, and the certified body's reference run on every input
-/// ([`reference`]).
+/// ([`reference()`]).
 ///
 /// Nothing in it is trusted. Every read first checks that the context was
 /// derived from exactly the model, spec and [`CheckConfig`] fields of the

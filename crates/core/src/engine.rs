@@ -92,7 +92,7 @@ fn memo_hash(cond: &SideCond, hyps: &[HypRef]) -> u64 {
 }
 
 /// Renders a caught panic payload (the common `&str`/`String` cases).
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -23,6 +23,7 @@
 //! | [`fnspec`] | §3.2 | `fnspec!` ABI layer |
 //! | [`mod@derive`] | §2 | derivation witnesses |
 //! | [`check`] | §4.3 (trusted base) | the trusted checker |
+//! | [`chain`] | §5 | the untrusted validated step chain (opt, RISC-V) |
 //!
 //! # Example
 //!
@@ -48,6 +49,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+pub mod chain;
 pub mod check;
 pub mod derive;
 pub mod engine;

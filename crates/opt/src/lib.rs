@@ -22,12 +22,11 @@
 //!    secret-dependent branch, address, or variable-latency operand is
 //!    rolled back even though it is functionally correct.
 //!
-//! [`optimize_compiled`] runs every pass and validates the composed body
-//! once. Only when that fails does it fall back to the step-wise protocol
-//! ([`optimize_stepwise`]), which validates after each pass: a pass whose
-//! output fails any layer is **rolled back** — its [`PassReport`] records
-//! a typed [`OptError`], the pipeline continues from the last validated
-//! body, and nothing ever panics. What the certificate alone determines
+//! The passes form one validated step chain ([`rupicola_core::chain`]):
+//! [`optimize_compiled`] validates the composed body once and only on
+//! failure walks pass by pass ([`optimize_stepwise`]), **rolling back**
+//! each failing pass with a typed [`OptError`] in its [`PassReport`];
+//! nothing ever panics. What the certificate alone determines
 //! (vectors, model results, the certified body's runs) is computed once
 //! per certificate, in its
 //! [`ValidationContext`](rupicola_core::check::ValidationContext). The
@@ -61,6 +60,7 @@ pub mod passes;
 mod validate;
 
 use rupicola_bedrock::BFunction;
+use rupicola_core::chain::{self, Chain, Output, Route};
 use rupicola_core::check::CheckConfig;
 use rupicola_core::lemma::HintDbs;
 use rupicola_core::CompiledFunction;
@@ -120,7 +120,7 @@ impl fmt::Display for PassId {
 }
 
 /// An ordered, configurable pass pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Passes to run, in order. May repeat.
     pub passes: Vec<PassId>,
@@ -135,7 +135,7 @@ pub struct PipelineConfig {
 impl PipelineConfig {
     /// The full default pipeline.
     pub fn full() -> Self {
-        PipelineConfig { passes: PassId::ALL.to_vec(), ..Default::default() }
+        PipelineConfig { passes: PassId::ALL.to_vec(), ..PipelineConfig::none() }
     }
 
     /// Attaches a CT policy (validation layer 4) to this pipeline.
@@ -147,7 +147,7 @@ impl PipelineConfig {
 
     /// The empty pipeline (optimization disabled).
     pub fn none() -> Self {
-        PipelineConfig::default()
+        PipelineConfig { passes: Vec::new(), ct_policy: None }
     }
 
     /// A canonical identity string for cache fingerprints: the ordered
@@ -254,11 +254,6 @@ impl PipelineReport {
     pub fn sites_rewritten(&self) -> usize {
         self.passes.iter().filter(|p| p.applied).map(|p| p.sites_rewritten).sum()
     }
-
-    /// Total analysis facts consumed by applied passes.
-    pub fn facts_consumed(&self) -> usize {
-        self.passes.iter().filter(|p| p.applied).map(|p| p.facts_consumed).sum()
-    }
 }
 
 impl fmt::Display for PipelineReport {
@@ -312,13 +307,9 @@ pub fn run_pass(pass: PassId, f: &BFunction) -> PassOutcome {
 
 /// Runs the pipeline over a certified function and translation-validates
 /// the composed result once; only when that fails does it fall back to
-/// [`optimize_stepwise`], which finds and rolls back the failing passes.
-///
-/// Soundness rests on the composed check alone: the final body clears
-/// every layer against the original certificate. The composed route
-/// reports exactly what the step-wise protocol would whenever the
-/// composed body validates and each intermediate body would too (the
-/// equivalence battery pins this for the whole suite).
+/// [`optimize_stepwise`], which finds and rolls back the failing passes
+/// ([`chain::composed`]). Soundness rests on the composed check alone: the
+/// final body clears every layer against the original certificate.
 ///
 /// On return, `cf.optimized` holds the final validated body when at least
 /// one pass applied (`None` otherwise), and the `opt_*` counters in
@@ -330,7 +321,8 @@ pub fn optimize_compiled(
     pipeline: &PipelineConfig,
     config: &CheckConfig,
 ) -> PipelineReport {
-    optimize_by(cf, dbs, pipeline, config, &|_, pass, f| run_pass(pass, f))
+    let run = |i: usize, f: &BFunction| run_pass(pipeline.passes[i], f);
+    optimize_along(cf, dbs, pipeline, config, &run, chain::composed)
 }
 
 /// The step-wise protocol: translation-validates after every pass and
@@ -343,137 +335,60 @@ pub fn optimize_stepwise(
     pipeline: &PipelineConfig,
     config: &CheckConfig,
 ) -> PipelineReport {
-    let validate = |body: &BFunction| {
-        validate::validate_candidate_with_policy(cf, body, dbs, config, pipeline.ct_policy.as_ref())
-    };
-    let run = |_: usize, pass, f: &BFunction| run_pass(pass, f);
-    let walk = walk(&cf.function, &pipeline.passes, &run, &validate, Vec::new());
-    finish(cf, walk)
+    let run = |i: usize, f: &BFunction| run_pass(pipeline.passes[i], f);
+    optimize_along(cf, dbs, pipeline, config, &run, chain::stepwise)
 }
 
-/// Runs pass `i` of a pipeline (its id is `pass`) over a body.
-type PassFn<'a> = dyn Fn(usize, PassId, &BFunction) -> PassOutcome + 'a;
+/// Sites rewritten and facts consumed, as a pass reports them.
+type Counts = (usize, usize);
 
-fn optimize_by(
+/// Walks the pass chain of `pipeline` from the certified body along
+/// `route`, running pass `i` with `run` and validating every layer against
+/// the original certificate, and records the outcome in `cf`.
+fn optimize_along(
     cf: &mut CompiledFunction,
     dbs: &HintDbs,
     pipeline: &PipelineConfig,
     config: &CheckConfig,
-    run: &PassFn<'_>,
+    run: &dyn Fn(usize, &BFunction) -> PassOutcome,
+    route: Route<BFunction, OptError, Counts>,
 ) -> PipelineReport {
-    let passes = &pipeline.passes;
+    // Opt's no-op rule: a pass that rewrote no site produced no candidate
+    // (one equal to its input is unchanged too, which the chain decides).
+    let step = |i: usize, f: &BFunction| {
+        let PassOutcome { function, sites_rewritten, facts_consumed } = run(i, f);
+        Ok(((sites_rewritten > 0).then_some(function), (sites_rewritten, facts_consumed)))
+    };
     let validate = |body: &BFunction| {
         validate::validate_candidate_with_policy(cf, body, dbs, config, pipeline.ct_policy.as_ref())
     };
-    let composed = walk(&cf.function, passes, run, &|_| Ok(()), Vec::new());
-    let walk = if composed.report.applied_count() > 0 && validate(&composed.body).is_err() {
-        walk(&cf.function, passes, run, &validate, composed.steps)
-    } else {
-        composed
+    let chain = Chain {
+        len: pipeline.passes.len(),
+        step: &step,
+        panicked: |detail| OptError::Internal { detail },
     };
-    finish(cf, walk)
-}
-
-/// What one pass produced from its input, before validation.
-enum Step {
-    /// The pass panicked.
-    Panicked(String),
-    /// The pass rewrote nothing.
-    NoOp { facts_consumed: usize },
-    /// A changed candidate body.
-    Rewrote(PassOutcome),
-}
-
-/// A walk through the pipeline: the last accepted body, the report, and
-/// every pass's unvalidated output.
-struct Walk {
-    body: BFunction,
-    report: PipelineReport,
-    steps: Vec<Step>,
-}
-
-/// Walks the pipeline from the certified body, keeping each changed
-/// candidate `accept` admits and rolling back the rest. The outputs in
-/// `known` are reused while the walk follows the trajectory they were
-/// computed on, that is up to and including its first rollback.
-fn walk(
-    certified: &BFunction,
-    passes: &[PassId],
-    run: &PassFn<'_>,
-    accept: &dyn Fn(&BFunction) -> Result<(), OptError>,
-    known: Vec<Step>,
-) -> Walk {
-    let mut current = certified.clone();
-    let mut report = PipelineReport::default();
-    let mut steps = Vec::with_capacity(passes.len());
-    let mut known = known.into_iter();
-    let mut on_track = true;
-    for (i, &pass) in passes.iter().enumerate() {
-        let step = match known.next() {
-            Some(step) if on_track => step,
-            _ => run_step(run, i, pass, &current),
-        };
-        report.passes.push(match &step {
-            Step::Panicked(detail) => PassReport {
+    let walk = route(&chain, &cf.function, &validate);
+    let report = PipelineReport {
+        passes: pipeline
+            .passes
+            .iter()
+            .zip(&walk.steps)
+            .map(|(&pass, step)| PassReport {
                 pass,
-                sites_rewritten: 0,
-                facts_consumed: 0,
-                applied: false,
-                rolled_back: Some(OptError::Internal { detail: detail.clone() }),
-            },
-            Step::NoOp { facts_consumed } => PassReport {
-                pass,
-                sites_rewritten: 0,
-                facts_consumed: *facts_consumed,
-                applied: false,
-                rolled_back: None,
-            },
-            Step::Rewrote(outcome) => {
-                let verdict = accept(&outcome.function);
-                if verdict.is_ok() {
-                    current = outcome.function.clone();
-                } else {
-                    on_track = false;
-                }
-                PassReport {
-                    pass,
-                    sites_rewritten: outcome.sites_rewritten,
-                    facts_consumed: outcome.facts_consumed,
-                    applied: verdict.is_ok(),
-                    rolled_back: verdict.err(),
-                }
-            }
-        });
-        steps.push(step);
-    }
-    Walk { body: current, report, steps }
-}
-
-fn run_step(run: &PassFn<'_>, i: usize, pass: PassId, current: &BFunction) -> Step {
-    match rupicola_core::catch_quiet(|| run(i, pass, current)) {
-        Err(payload) => Step::Panicked(
-            payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("pass panicked")
-                .to_string(),
-        ),
-        // A pass that rewrote nothing produced the same body; it needs no
-        // validation.
-        Ok(outcome) if outcome.sites_rewritten == 0 || outcome.function == *current => {
-            Step::NoOp { facts_consumed: outcome.facts_consumed }
-        }
-        Ok(outcome) => Step::Rewrote(outcome),
-    }
-}
-
-fn finish(cf: &mut CompiledFunction, walk: Walk) -> PipelineReport {
-    let report = walk.report;
+                sites_rewritten: match step.output {
+                    Output::Changed(_) => step.meta.0,
+                    _ => 0,
+                },
+                facts_consumed: step.meta.1,
+                applied: step.kept().is_some(),
+                rolled_back: step.rolled_back().cloned(),
+            })
+            .collect(),
+    };
     cf.stats.opt_passes_applied = report.applied_count();
     cf.stats.opt_passes_rolled_back = report.rolled_back_count();
     cf.stats.opt_sites_rewritten = report.sites_rewritten();
-    cf.optimized = if report.applied_count() > 0 { Some(walk.body) } else { None };
+    cf.optimized = if report.applied_count() > 0 { Some(walk.value) } else { None };
     report
 }
 
@@ -490,7 +405,7 @@ mod tests {
         );
         let partial = PipelineConfig {
             passes: vec![PassId::LoadCse, PassId::ConstFold],
-            ..Default::default()
+            ..PipelineConfig::none()
         };
         assert_eq!(partial.identity_string(), "load-cse,const-fold");
     }

@@ -38,26 +38,25 @@ fn localizes(
     mutate: &dyn Fn(&BFunction) -> Option<BFunction>,
 ) -> bool {
     let config = CheckConfig::default();
-    let healthy_run = |_: usize, pass, f: &BFunction| run_pass(pass, f);
 
     // The body the healthy pipeline hands to step `at`.
     let mut prefix_cf = p.cf.clone();
     let prefix = PipelineConfig { passes: p.pipeline.passes[..at].to_vec(), ..p.pipeline.clone() };
-    optimize_by(&mut prefix_cf, dbs, &prefix, &config, &healthy_run);
+    optimize_compiled(&mut prefix_cf, dbs, &prefix, &config);
     let input = prefix_cf.optimized.unwrap_or_else(|| p.cf.function.clone());
     if mutate(&input).is_none() {
         return false;
     }
 
     let mut healthy_cf = p.cf.clone();
-    let healthy = optimize_by(&mut healthy_cf, dbs, &p.pipeline, &config, &healthy_run);
+    let healthy = optimize_compiled(&mut healthy_cf, dbs, &p.pipeline, &config);
 
     let mut passes = p.pipeline.passes.clone();
     passes.insert(at, label);
     let injected = PipelineConfig { passes, ..p.pipeline.clone() };
-    let run = |i: usize, pass, f: &BFunction| {
+    let run = |i: usize, f: &BFunction| {
         if i != at {
-            return run_pass(pass, f);
+            return run_pass(injected.passes[i], f);
         }
         match mutate(f) {
             Some(function) => PassOutcome { function, sites_rewritten: 1, facts_consumed: 0 },
@@ -66,19 +65,18 @@ fn localizes(
     };
 
     // The composed check rejects the pipeline's end product.
-    let composed = walk(&p.cf.function, &injected.passes, &run, &|_| Ok(()), Vec::new());
-    let verdict = validate_candidate_with_policy(
-        &p.cf,
-        &composed.body,
-        dbs,
-        &config,
-        injected.ct_policy.as_ref(),
-    );
+    let mut composed = p.cf.clone();
+    optimize_along(&mut composed, dbs, &injected, &config, &run, |c, start, _| {
+        chain::stepwise(c, start, &|_| Ok(()))
+    });
+    let body = composed.optimized.unwrap_or_else(|| p.cf.function.clone());
+    let verdict =
+        validate_candidate_with_policy(&p.cf, &body, dbs, &config, injected.ct_policy.as_ref());
     assert!(verdict.is_err(), "{}: composed check accepted a mutant at step {at}", p.name);
 
     // The fallback rolls back exactly the injected step.
     let mut cf = p.cf.clone();
-    let report = optimize_by(&mut cf, dbs, &injected, &config, &run);
+    let report = optimize_along(&mut cf, dbs, &injected, &config, &run, chain::composed);
     let bad = &report.passes[at];
     assert!(
         !bad.applied && bad.rolled_back.is_some(),

@@ -1,11 +1,12 @@
-//! Suite-level compilation drivers and the generic work-stealing
-//! scheduler: serial and `std::thread::scope` parallel compilation of the
-//! §4.2 suite, with deterministic result ordering.
+//! The suite compilation driver and the generic work-stealing scheduler:
+//! one driver, [`compile_entries`], compiles suite entries inline (one
+//! worker) or on `std::thread::scope` workers, with deterministic result
+//! ordering.
 //!
 //! Workers share the hint databases by reference (`HintDbs` is `Sync`:
 //! lemmas and solvers are stateless `Send + Sync` trait objects) but each
 //! owns its private `Compiler` state — including the side-condition memo
-//! cache — so runs are isolated exactly as in the serial driver. Results
+//! cache — so runs are isolated exactly as in a one-worker run. Results
 //! are keyed by job index regardless of OS scheduling, so the output
 //! order is input order and a harness comparing serial vs parallel output
 //! can `assert_eq!` the two vectors directly.
@@ -161,37 +162,6 @@ pub struct SuiteResult {
     pub result: Result<CompiledFunction, CompileError>,
 }
 
-/// Compiles every suite program against `dbs`, one after another, in
-/// suite order. This is the baseline the parallel driver is compared to
-/// by the determinism battery.
-pub fn compile_suite_serial(dbs: &HintDbs) -> Vec<SuiteResult> {
-    compile_entries_serial(&suite(), dbs, &EngineLimits::default())
-}
-
-/// Compiles an arbitrary slice of suite entries against `dbs` one after
-/// another, in slice order, applying each entry's per-program limits
-/// adjustment to `limits`. The serial counterpart of
-/// [`compile_entries_parallel_with_limits`] — harnesses comparing the two
-/// drivers hand both the same entries and base limits.
-pub fn compile_entries_serial(
-    entries: &[crate::SuiteEntry],
-    dbs: &HintDbs,
-    limits: &EngineLimits,
-) -> Vec<SuiteResult> {
-    entries
-        .iter()
-        .map(|entry| SuiteResult {
-            name: entry.info.name,
-            result: compile_with_limits(
-                &(entry.model)(),
-                &(entry.spec)(),
-                dbs,
-                (entry.limits)(*limits),
-            ),
-        })
-        .collect()
-}
-
 /// Compiles every suite program against `dbs` under the work-stealing
 /// scheduler, with the worker count capped at the machine's available
 /// parallelism (and at the suite size). Hermetic: `std::thread::scope`
@@ -200,37 +170,32 @@ pub fn compile_entries_serial(
 /// Determinism: compilation is a pure function of `(model, spec, dbs)`
 /// and [`run_work_stealing`] keys results by job index — no shared
 /// mutable state, no iteration-order dependence — so the returned vector
-/// is byte-identical to [`compile_suite_serial`]'s. On a single-core
-/// machine the cap degenerates to one worker and the driver compiles
-/// inline without spawning at all, so the parallel entry point never pays
-/// thread-spawn overhead it cannot recoup.
+/// is byte-identical to a one-worker [`compile_entries`] run. On a
+/// single-core machine the cap degenerates to one worker and the driver
+/// compiles inline without spawning at all, so the parallel entry point
+/// never pays thread-spawn overhead it cannot recoup.
 pub fn compile_suite_parallel(dbs: &HintDbs) -> Vec<SuiteResult> {
-    compile_entries_parallel(&suite(), dbs)
+    compile_entries(&suite(), dbs, &EngineLimits::default(), default_workers())
 }
 
-/// Compiles an arbitrary slice of suite entries against `dbs` in parallel,
-/// preserving slice order in the result.
+/// The one suite driver: compiles `entries` against `dbs` on `workers`
+/// work-stealing workers, preserving slice order in the result. Each
+/// entry's per-program limits adjustment is applied to `limits`; each
+/// worker gets its own `Compiler` (and thus its own deadline clock,
+/// started at its first judgment), so a `max_wall_ms` deadline bounds
+/// each *program's* derivation, not the batch.
 ///
-/// This is the primitive the incremental (store-backed) driver uses: on a
-/// warm cache only the *missing* entries are handed to this function, so
-/// a fully warm run spawns no workers and performs zero derivations.
-/// [`compile_suite_parallel`] is the whole-suite special case.
-pub fn compile_entries_parallel(entries: &[crate::SuiteEntry], dbs: &HintDbs) -> Vec<SuiteResult> {
-    compile_entries_parallel_with_limits(entries, dbs, &EngineLimits::default())
-}
-
-/// [`compile_entries_parallel`] under explicit [`EngineLimits`] — the
-/// service layer uses this to thread per-request deadlines
-/// (`max_wall_ms`) and budget overrides down to every worker. Each worker
-/// gets its own `Compiler` (and thus its own deadline clock, started at
-/// its first judgment): a deadline bounds each *program's* derivation,
-/// not the batch.
-pub fn compile_entries_parallel_with_limits(
+/// `workers = 1` is the serial driver: it compiles in slice order on the
+/// calling thread, spawning nothing (deep programs such as
+/// `chacha20_block` then need [`on_deep_stack`]). The result does not
+/// depend on `workers`.
+pub fn compile_entries(
     entries: &[crate::SuiteEntry],
     dbs: &HintDbs,
     limits: &EngineLimits,
+    workers: usize,
 ) -> Vec<SuiteResult> {
-    run_work_stealing(entries.len(), default_workers().min(entries.len()), |i| {
+    run_work_stealing(entries.len(), workers, |i| {
         let entry = &entries[i];
         SuiteResult {
             name: entry.info.name,
@@ -292,7 +257,7 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let dbs = standard_dbs();
-        let serial = compile_suite_serial(&dbs);
+        let serial = compile_entries(&suite(), &dbs, &EngineLimits::default(), 1);
         let parallel = compile_suite_parallel(&dbs);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(parallel.iter()) {

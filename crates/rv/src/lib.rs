@@ -27,13 +27,12 @@
 //! return values, the final heap region-by-region, and the final locals
 //! read back from the flushed frame ([`validate::validate_artifact`]). The
 //! certified body's side of that differential is run once per certificate
-//! and kept in its validation context. Only when the composed artifact
-//! fails does [`lower_validated`] fall back to validating stage by stage
-//! ([`lower_stepwise`]): a stage whose candidate diverges — or fails to
-//! assemble, or panics — is rolled back to the last validated artifact and
-//! the failure is recorded as a typed [`RvBackendError`] in the
-//! [`StageReport`]; the pipeline never panics and never keeps unvalidated
-//! code.
+//! and kept in its validation context. The stages form one validated step
+//! chain ([`rupicola_core::chain`]): only when the composed artifact fails
+//! does [`lower_validated`] walk stage by stage ([`lower_stepwise`]),
+//! rolling back each stage that diverges, fails to assemble or panics with
+//! a typed [`RvBackendError`] in its [`StageReport`]; the pipeline never
+//! panics and never keeps unvalidated code.
 //!
 //! What the differential does *not* do: it is testing-validation over the
 //! certificate's vectors, not Bedrock2's end-to-end compiler proof — see
@@ -52,6 +51,7 @@ pub mod validate;
 
 use rupicola_bedrock::rv::Asm;
 use rupicola_bedrock::rv_compile::{compile_function, RvArtifact};
+use rupicola_core::chain::{self, Chain, Route};
 use rupicola_core::check::CheckConfig;
 use rupicola_core::CompiledFunction;
 use std::fmt;
@@ -105,7 +105,7 @@ impl fmt::Display for RvStageId {
 /// An ordered, configurable RISC-V lowering pipeline. [`RvStageId::Lower`]
 /// always runs first and is implicit; `stages` lists the optimization
 /// stages that follow it.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RvPipelineConfig {
     /// Optimization stages to run after the naive lowering, in order.
     pub stages: Vec<RvStageId>,
@@ -126,7 +126,7 @@ impl RvPipelineConfig {
 
     /// The naive route: spill-all lowering only.
     pub fn none() -> Self {
-        RvPipelineConfig::default()
+        RvPipelineConfig { stages: Vec::new() }
     }
 
     /// A canonical identity string for cache fingerprints: `lower`
@@ -265,7 +265,7 @@ pub fn instr_count(asm: &[Asm]) -> usize {
 /// validates the naive baseline, runs every optimization stage, and
 /// differentially validates the final artifact once. Only when that fails
 /// does it fall back to [`lower_stepwise`], which finds and rolls back the
-/// failing stages.
+/// failing stages ([`chain::composed`]).
 ///
 /// Returns the validated artifact plus the per-stage report. The certified
 /// Bedrock2 body is the unchanging reference — the baseline and the final
@@ -286,7 +286,8 @@ pub fn lower_validated(
     pipeline: &RvPipelineConfig,
     config: &CheckConfig,
 ) -> Result<(RvArtifact, RvReport), RvBackendError> {
-    lower_by(cf, &pipeline.stages, config, &|_, stage, current| apply_stage(stage, cf, current))
+    let run = |i: usize, art: &RvArtifact| apply_stage(pipeline.stages[i], cf, art);
+    lower_along(cf, &pipeline.stages, config, &run, chain::composed)
 }
 
 /// The step-wise protocol: differentially validates the baseline and then
@@ -302,32 +303,51 @@ pub fn lower_stepwise(
     pipeline: &RvPipelineConfig,
     config: &CheckConfig,
 ) -> Result<(RvArtifact, RvReport), RvBackendError> {
-    let baseline = baseline(cf, config)?;
-    let apply = |_: usize, stage, current: &RvArtifact| apply_stage(stage, cf, current);
-    let validate = |art: &RvArtifact| validate_artifact(cf, art, config);
-    let walk = walk(baseline, &pipeline.stages, &apply, &validate, Vec::new());
-    Ok((walk.artifact, walk.report))
+    let run = |i: usize, art: &RvArtifact| apply_stage(pipeline.stages[i], cf, art);
+    lower_along(cf, &pipeline.stages, config, &run, chain::stepwise)
 }
 
-/// Runs stage `i` of a pipeline (its id is `stage`) over an artifact.
-type StageFn<'a> = dyn Fn(usize, RvStageId, &RvArtifact) -> Result<RvArtifact, RvBackendError> + 'a;
-
-fn lower_by(
+/// Walks the stage chain from the validated baseline along `route`,
+/// running stage `i` with `run` and validating against the certified body.
+/// The report's leading row is the baseline `lower`.
+fn lower_along(
     cf: &CompiledFunction,
     stages: &[RvStageId],
     config: &CheckConfig,
-    apply: &StageFn<'_>,
+    run: &dyn Fn(usize, &RvArtifact) -> Result<RvArtifact, RvBackendError>,
+    route: Route<RvArtifact, RvBackendError, ()>,
 ) -> Result<(RvArtifact, RvReport), RvBackendError> {
     let baseline = baseline(cf, config)?;
-    let validate = |art: &RvArtifact| validate_artifact(cf, art, config);
-    let composed = walk(baseline.clone(), stages, apply, &|_| Ok(()), Vec::new());
-    // The baseline counts as applied; any other applied stage changed it.
-    let walk = if composed.report.applied_count() > 1 && validate(&composed.artifact).is_err() {
-        walk(baseline, stages, apply, &validate, composed.runs)
-    } else {
-        composed
+    let step = |i: usize, art: &RvArtifact| run(i, art).map(|candidate| (Some(candidate), ()));
+    let chain = Chain {
+        len: stages.len(),
+        step: &step,
+        panicked: |detail| RvBackendError::Internal { detail },
     };
-    Ok((walk.artifact, walk.report))
+    let walk = route(&chain, &baseline, &|art| validate_artifact(cf, art, config));
+    let mut instrs = instr_count(&baseline.asm);
+    let mut report = RvReport::default();
+    report.stages.push(StageReport {
+        stage: RvStageId::Lower,
+        instrs_before: instrs,
+        instrs_after: instrs,
+        applied: true,
+        rolled_back: None,
+    });
+    for (&stage, step) in stages.iter().zip(&walk.steps) {
+        let instrs_before = instrs;
+        if let Some(kept) = step.kept() {
+            instrs = instr_count(&kept.asm);
+        }
+        report.stages.push(StageReport {
+            stage,
+            instrs_before,
+            instrs_after: instrs,
+            applied: step.kept().is_some(),
+            rolled_back: step.rolled_back().cloned(),
+        });
+    }
+    Ok((walk.value, report))
 }
 
 /// The naive spill-all lowering, validated. A failure here is fatal: there
@@ -345,98 +365,6 @@ fn baseline(cf: &CompiledFunction, config: &CheckConfig) -> Result<RvArtifact, R
         other => other,
     })?;
     Ok(naive)
-}
-
-/// What one stage produced from its input, before validation.
-enum StageRun {
-    /// The stage failed (or panicked) without producing a candidate.
-    Failed(RvBackendError),
-    /// The stage changed nothing.
-    Unchanged,
-    /// A changed candidate artifact.
-    Changed(RvArtifact),
-}
-
-/// A walk through the stages: the last accepted artifact, the report, and
-/// every stage's unvalidated output.
-struct Walk {
-    artifact: RvArtifact,
-    report: RvReport,
-    runs: Vec<StageRun>,
-}
-
-/// Walks the stages from the validated baseline, keeping each changed
-/// candidate `accept` admits and rolling back the rest. The outputs in
-/// `known` are reused while the walk follows the trajectory they were
-/// computed on, that is up to and including its first rollback.
-fn walk(
-    baseline: RvArtifact,
-    stages: &[RvStageId],
-    apply: &StageFn<'_>,
-    accept: &dyn Fn(&RvArtifact) -> Result<(), RvBackendError>,
-    known: Vec<StageRun>,
-) -> Walk {
-    let naive = instr_count(&baseline.asm);
-    let mut report = RvReport::default();
-    report.stages.push(StageReport {
-        stage: RvStageId::Lower,
-        instrs_before: naive,
-        instrs_after: naive,
-        applied: true,
-        rolled_back: None,
-    });
-    let mut current = baseline;
-    let mut runs = Vec::with_capacity(stages.len());
-    let mut known = known.into_iter();
-    let mut on_track = true;
-    for (i, &stage) in stages.iter().enumerate() {
-        let before = instr_count(&current.asm);
-        let run = match known.next() {
-            Some(run) if on_track => run,
-            _ => run_stage(apply, i, stage, &current),
-        };
-        let (applied, rolled_back) = match &run {
-            StageRun::Failed(err) => (false, Some(err.clone())),
-            StageRun::Unchanged => (false, None),
-            StageRun::Changed(candidate) => match accept(candidate) {
-                Ok(()) => {
-                    current = candidate.clone();
-                    (true, None)
-                }
-                Err(err) => {
-                    on_track = false;
-                    (false, Some(err))
-                }
-            },
-        };
-        report.stages.push(StageReport {
-            stage,
-            instrs_before: before,
-            instrs_after: instr_count(&current.asm),
-            applied,
-            rolled_back,
-        });
-        runs.push(run);
-    }
-    Walk { artifact: current, report, runs }
-}
-
-fn run_stage(apply: &StageFn<'_>, i: usize, stage: RvStageId, current: &RvArtifact) -> StageRun {
-    match rupicola_core::catch_quiet(|| apply(i, stage, current)) {
-        // A stage that changed nothing produced the same artifact; it
-        // needs no validation.
-        Ok(Ok(candidate)) if candidate == *current => StageRun::Unchanged,
-        Ok(Ok(candidate)) => StageRun::Changed(candidate),
-        Ok(Err(err)) => StageRun::Failed(err),
-        Err(payload) => StageRun::Failed(RvBackendError::Internal {
-            detail: payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("stage panicked")
-                .to_string(),
-        }),
-    }
 }
 
 /// Runs one stage over one artifact, with no validation. Exposed so the

@@ -21,11 +21,10 @@ fn localizes(
 ) -> bool {
     let config = CheckConfig::default();
     let full = RvPipelineConfig::full();
-    let healthy_apply = |_: usize, stage, current: &RvArtifact| apply_stage(stage, cf, current);
 
     // The artifact the healthy pipeline hands to stage `at`.
-    let (input, _) =
-        lower_by(cf, &full.stages[..at], &config, &healthy_apply).expect("the baseline lowers");
+    let prefix = RvPipelineConfig { stages: full.stages[..at].to_vec() };
+    let (input, _) = lower_validated(cf, &prefix, &config).expect("the baseline lowers");
     let Some(broken) = mutant.apply(&input) else {
         return false;
     };
@@ -34,29 +33,32 @@ fn localizes(
         // failure to localize.
         return false;
     }
-    let healthy = lower_by(cf, &full.stages, &config, &healthy_apply).expect("the baseline lowers");
+    let healthy = lower_validated(cf, &full, &config).expect("the baseline lowers");
 
     let mut stages = full.stages.clone();
     stages.insert(at, label);
-    let apply = |i: usize, stage, current: &RvArtifact| {
+    let run = |i: usize, current: &RvArtifact| {
         if i == at {
             Ok(mutant.apply(current).unwrap_or_else(|| current.clone()))
         } else {
-            apply_stage(stage, cf, current)
+            apply_stage(stages[i], cf, current)
         }
     };
 
     // The composed check rejects the pipeline's end product.
-    let naive = compile_function(&cf.function).expect("the baseline lowers");
-    let composed = walk(naive, &stages, &apply, &|_| Ok(()), Vec::new());
+    let (composed, _) = lower_along(cf, &stages, &config, &run, |c, start, _| {
+        chain::stepwise(c, start, &|_| Ok(()))
+    })
+    .expect("the baseline lowers");
     assert!(
-        validate_artifact(cf, &composed.artifact, &config).is_err(),
+        validate_artifact(cf, &composed, &config).is_err(),
         "{name}: composed check accepted {} at stage {at}",
         mutant.name()
     );
 
     // The fallback rolls back exactly the injected stage.
-    let (artifact, report) = lower_by(cf, &stages, &config, &apply).expect("the baseline lowers");
+    let (artifact, report) =
+        lower_along(cf, &stages, &config, &run, chain::composed).expect("the baseline lowers");
     let bad = &report.stages[at + 1];
     assert!(
         !bad.applied && bad.rolled_back.is_some(),

@@ -1,15 +1,17 @@
 //! Determinism of the suite-parallel compilation driver.
 //!
-//! `compile_suite_parallel` hands each worker a disjoint strided slice of
-//! pre-allocated result slots, so output order is suite order no matter how
-//! the OS schedules the workers. These tests pin the stronger claim the
+//! `compile_suite_parallel` runs on the work-stealing scheduler, which keys
+//! results by job index, so output order is suite order no matter how the
+//! OS schedules the workers. These tests pin the stronger claim the
 //! throughput layer rests on: the *contents* are byte-identical run to run
-//! and identical to the serial driver's — same C rendering, same witness
+//! and identical to a one-worker run's — same C rendering, same witness
 //! node counts, same compile stats.
 
 use rupicola::bedrock::cprint::function_to_c;
-use rupicola::{compile_suite_parallel, compile_suite_serial};
+use rupicola::core::EngineLimits;
 use rupicola::ext::standard_dbs;
+use rupicola::programs::suite;
+use rupicola::{compile_entries, compile_suite_parallel};
 
 #[test]
 fn parallel_runs_are_byte_identical_across_invocations() {
@@ -34,7 +36,7 @@ fn parallel_runs_are_byte_identical_across_invocations() {
 #[test]
 fn parallel_matches_serial_byte_for_byte() {
     let dbs = standard_dbs();
-    let serial = compile_suite_serial(&dbs);
+    let serial = compile_entries(&suite(), &dbs, &EngineLimits::default(), 1);
     let parallel = compile_suite_parallel(&dbs);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(parallel.iter()) {
@@ -43,7 +45,7 @@ fn parallel_matches_serial_byte_for_byte() {
         assert_eq!(
             function_to_c(&s.function),
             function_to_c(&p.function),
-            "{}: C output differs between serial and parallel drivers",
+            "{}: C output differs between one worker and many",
             s.function.name
         );
         assert_eq!(s.function, p.function);

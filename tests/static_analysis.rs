@@ -4,7 +4,7 @@
 //! responsible for them.
 
 use rupicola::analysis::{
-    self, analyze, analyze_with_dbs, lemma_lint, run_code_passes, AbsVal, Bound, FindingKind,
+    analyze, analyze_with_dbs, lemma_lint, run_code_passes, AbsVal, Bound, FindingKind,
     MemEnv, ProbeSuite, Range, RegionInfo, Severity, SizeInfo,
 };
 use rupicola::bedrock::{AccessSize, BExpr, BFunction, BinOp, Cmd};
@@ -347,20 +347,4 @@ fn analyzer_kills_structural_mutants() {
     }
     assert!(structural > 0);
     assert!(structural_killed > 0, "analyzer killed no structural mutants");
-}
-
-/// The opt-in analyzing pipeline: accepts the honest artifact, rejects one
-/// the analysis faults, and surfaces compile errors unchanged.
-#[test]
-fn analyzing_compile_gates_on_findings() {
-    let entry = suite()
-        .into_iter()
-        .find(|e| e.info.name == "fnv1a")
-        .expect("fnv1a in suite");
-    let dbs = standard_dbs();
-    let model = (entry.model)();
-    let spec = compiled("fnv1a").spec;
-    let opts = analysis::CompileOptions { analyze: true, ..Default::default() };
-    let cf = analysis::compile(&model, &spec, &dbs, &opts).expect("clean program certifies");
-    assert!(analyze_with_dbs(&cf, Some(&dbs)).is_clean());
 }
